@@ -230,21 +230,8 @@ MultiSelectionResult select_ranks_on(
     Network& net, const std::vector<std::vector<Word>>& inputs,
     const std::vector<std::size_t>& ds, SelectionOptions opts) {
   const SimConfig& cfg = net.config();
-  MCB_REQUIRE(inputs.size() == cfg.p, "inputs for " << inputs.size()
-                                                    << " processors, p="
-                                                    << cfg.p);
-  std::size_t n = 0;
-  for (const auto& in : inputs) {
-    MCB_REQUIRE(!in.empty(), "every processor needs at least one element");
-    n += in.size();
-    for (Word w : in) {
-      MCB_REQUIRE(w != kDummy, "input contains the reserved dummy value");
-    }
-  }
   MCB_REQUIRE(!ds.empty(), "at least one rank to select");
-  for (std::size_t d : ds) {
-    MCB_REQUIRE(1 <= d && d <= n, "rank " << d << " of " << n);
-  }
+  validate_selection_inputs(cfg.p, inputs, ds);
 
   MultiSelCtx ctx;
   ctx.uds = ds;

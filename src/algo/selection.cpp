@@ -169,18 +169,7 @@ SelectionResult select_rank(const SimConfig& cfg,
                             std::size_t d, SelectionOptions opts,
                             TraceSink* sink) {
   cfg.validate();
-  MCB_REQUIRE(inputs.size() == cfg.p, "inputs for " << inputs.size()
-                                                    << " processors, p="
-                                                    << cfg.p);
-  std::size_t n = 0;
-  for (const auto& in : inputs) {
-    MCB_REQUIRE(!in.empty(), "every processor needs at least one element");
-    n += in.size();
-    for (Word w : in) {
-      MCB_REQUIRE(w != kDummy, "input contains the reserved dummy value");
-    }
-  }
-  MCB_REQUIRE(1 <= d && d <= n, "rank " << d << " of " << n);
+  validate_selection_inputs(cfg.p, inputs, {&d, 1});
 
   SelCtx ctx;
   ctx.d = d;

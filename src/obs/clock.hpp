@@ -21,7 +21,8 @@
 namespace mcb::obs {
 
 /// Monotonic nanosecond clock. Implementations must be safe to call from
-/// any thread (the worker pool stamps per-lane busy time through it).
+/// any thread (sweep trials run their Networks on several threads, and
+/// each run stamps its wall time through the default clock).
 class Clock {
  public:
   virtual ~Clock() = default;

@@ -1,20 +1,19 @@
-// Golden-stats regression test for the optimized engines.
+// Golden-stats regression test for the event engine.
 //
 // The scan-the-world reference loop (SimConfig::Engine::kReference, the
 // seed implementation kept as the executable semantics specification) is
-// the oracle; the event-driven scheduler (kEventDriven) and the striped
-// parallel engine (kParallel, at every thread count in kThreadGrid) must be
+// the oracle; the event-driven scheduler (kEventDriven) must be
 // observationally identical to it: for every algorithm in src/algo/ on a
-// seeded workload grid, all engines must report exactly the same cycles,
-// messages, messages_per_proc, messages_per_channel, peak_aux_words and
-// per-phase stats — and, where checked, the same cycle-by-cycle trace
-// events. Within the parallel family the bar is higher still: the
-// frame-arena telemetry (stripe-sharded, so not comparable to the serial
-// engines' single arena) must itself be independent of the thread count.
+// seeded workload grid, both engines must report exactly the same cycles,
+// messages, messages_per_proc, messages_per_channel, peak_aux_words,
+// resume counts and per-phase stats — and, where checked, the same
+// cycle-by-cycle trace events and serialized sweep documents. Both engines
+// resume programs in the same order through the same frame arena, so the
+// frame-arena telemetry must agree too.
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "algo/baselines.hpp"
@@ -28,14 +27,8 @@
 namespace mcb {
 namespace {
 
-/// Worker counts the parallel engine is exercised at. 1 covers the
-/// degenerate pool, 8 oversubscribes this container — determinism must not
-/// depend on hardware concurrency.
-constexpr std::size_t kThreadGrid[] = {1, 2, 4, 8};
-
-SimConfig with_engine(SimConfig cfg, Engine e, std::size_t threads = 0) {
+SimConfig with_engine(SimConfig cfg, Engine e) {
   cfg.engine = e;
-  cfg.threads = threads;
   return cfg;
 }
 
@@ -46,6 +39,10 @@ void expect_identical_stats(const RunStats& ref, const RunStats& ev,
   EXPECT_EQ(ref.messages_per_proc, ev.messages_per_proc) << label;
   EXPECT_EQ(ref.messages_per_channel, ev.messages_per_channel) << label;
   EXPECT_EQ(ref.peak_aux_words, ev.peak_aux_words) << label;
+  EXPECT_EQ(ref.proc_resumes, ev.proc_resumes) << label;
+  EXPECT_EQ(ref.frame_allocs, ev.frame_allocs) << label;
+  EXPECT_EQ(ref.frame_frees, ev.frame_frees) << label;
+  EXPECT_EQ(ref.arena_bytes_peak, ev.arena_bytes_peak) << label;
   ASSERT_EQ(ref.phases.size(), ev.phases.size()) << label;
   for (std::size_t i = 0; i < ref.phases.size(); ++i) {
     EXPECT_EQ(ref.phases[i].name, ev.phases[i].name) << label;
@@ -58,31 +55,14 @@ void expect_identical_stats(const RunStats& ref, const RunStats& ev,
   }
 }
 
-/// Runs `go` under all three engines (parallel at every kThreadGrid count)
-/// and asserts identical accounting, with reference as the oracle. The
-/// frame-arena telemetry is additionally pinned across thread counts within
-/// the parallel family (see the file comment for why not across engines).
+/// Runs `go` under both engines and asserts identical accounting, with
+/// reference as the oracle.
 void expect_engines_agree(const SimConfig& cfg,
                           const std::function<RunStats(const SimConfig&)>& go,
                           const std::string& label) {
   const RunStats ref = go(with_engine(cfg, Engine::kReference));
   const RunStats ev = go(with_engine(cfg, Engine::kEventDriven));
   expect_identical_stats(ref, ev, label + "/event");
-
-  std::optional<RunStats> first_par;
-  for (const std::size_t t : kThreadGrid) {
-    const RunStats par = go(with_engine(cfg, Engine::kParallel, t));
-    const std::string plabel = label + "/parallel-t" + std::to_string(t);
-    expect_identical_stats(ref, par, plabel);
-    if (!first_par) {
-      first_par = par;
-      continue;
-    }
-    EXPECT_EQ(first_par->frame_allocs, par.frame_allocs) << plabel;
-    EXPECT_EQ(first_par->frame_frees, par.frame_frees) << plabel;
-    EXPECT_EQ(first_par->arena_bytes_peak, par.arena_bytes_peak) << plabel;
-    EXPECT_EQ(first_par->arena_hit_rate, par.arena_hit_rate) << plabel;
-  }
 }
 
 TEST(SchedulerEquivalence, EveryExplicitSortAlgorithm) {
@@ -188,74 +168,57 @@ TEST(SchedulerEquivalence, MultiReadExtension) {
 
 TEST(SchedulerEquivalence, TraceStreamsIdentical) {
   // Strongest form of "observationally identical": the cycle-by-cycle event
-  // streams seen by a TraceSink must match, not just the aggregates. The
-  // parallel engine emits its events from the merge step at the cycle
-  // barrier, so the stream must come out in processor-id order regardless
-  // of which worker simulated which stripe.
+  // streams seen by a TraceSink must match, not just the aggregates.
   const auto w = util::make_workload(256, 16, util::Shape::kEven, 2);
-  auto run_traced = [&](Engine e, std::size_t threads, ChannelTrace& trace) {
-    return algo::sort(with_engine({.p = 16, .k = 4}, e, threads), w.inputs,
+  auto run_traced = [&](Engine e, ChannelTrace& trace) {
+    return algo::sort(with_engine({.p = 16, .k = 4}, e), w.inputs,
                       {.algorithm = algo::SortAlgorithm::kColumnsortEven},
                       &trace)
         .run.stats;
   };
   ChannelTrace ref_trace(1u << 20);
-  const RunStats ref = run_traced(Engine::kReference, 0, ref_trace);
+  const RunStats ref = run_traced(Engine::kReference, ref_trace);
   ASSERT_FALSE(ref_trace.truncated());
   const auto& a = ref_trace.events();
 
-  auto expect_same_stream = [&](Engine e, std::size_t threads,
-                                const std::string& label) {
-    ChannelTrace trace(1u << 20);
-    const RunStats got = run_traced(e, threads, trace);
-    expect_identical_stats(ref, got, "traced columnsort/" + label);
-    ASSERT_FALSE(trace.truncated());
-    const auto& b = trace.events();
-    ASSERT_EQ(a.size(), b.size()) << label;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].cycle, b[i].cycle) << label << " event " << i;
-      EXPECT_EQ(a[i].proc, b[i].proc) << label << " event " << i;
-      EXPECT_EQ(a[i].wrote, b[i].wrote) << label << " event " << i;
-      EXPECT_EQ(a[i].sent, b[i].sent) << label << " event " << i;
-      EXPECT_EQ(a[i].read, b[i].read) << label << " event " << i;
-      EXPECT_EQ(a[i].received, b[i].received) << label << " event " << i;
-    }
-  };
-  expect_same_stream(Engine::kEventDriven, 0, "event");
-  for (const std::size_t t : kThreadGrid) {
-    expect_same_stream(Engine::kParallel, t, "parallel-t" + std::to_string(t));
+  ChannelTrace trace(1u << 20);
+  const RunStats got = run_traced(Engine::kEventDriven, trace);
+  expect_identical_stats(ref, got, "traced columnsort/event");
+  ASSERT_FALSE(trace.truncated());
+  const auto& b = trace.events();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].cycle, b[i].cycle) << "event " << i;
+    EXPECT_EQ(a[i].proc, b[i].proc) << "event " << i;
+    EXPECT_EQ(a[i].wrote, b[i].wrote) << "event " << i;
+    EXPECT_EQ(a[i].sent, b[i].sent) << "event " << i;
+    EXPECT_EQ(a[i].read, b[i].read) << "event " << i;
+    EXPECT_EQ(a[i].received, b[i].received) << "event " << i;
   }
 }
 
-TEST(SchedulerEquivalence, SweepJsonStableUnderParallelEngine) {
-  // End-to-end determinism: a sweep run on the parallel engine serializes
-  // byte-identically regardless of the trial pool's width, and its model
-  // accounting (cycles/messages/aux) matches the event engine's trial for
-  // trial. (Full JSON identity across engines is not expected: the frame
-  // telemetry in the JSON is arena-sharding-specific.)
+TEST(SchedulerEquivalence, SweepJsonIdenticalAcrossEngines) {
+  // End-to-end determinism: a sweep serializes byte-identically on either
+  // engine (up to the header's engine name) and at any trial-pool width.
   harness::Sweep sweep;
   sweep.ps = {8, 16};
   sweep.ks = {2, 4};
   sweep.ns = {256};
   sweep.algorithms = {"auto", "select"};
   sweep.seeds = 2;
-  sweep.engine = Engine::kParallel;
 
-  const auto one = harness::run_sweep(sweep, {.threads = 1});
-  const auto four = harness::run_sweep(sweep, {.threads = 4});
-  EXPECT_EQ(harness::sweep_json(one), harness::sweep_json(four));
+  auto json_at = [&](Engine e, std::size_t threads) {
+    sweep.engine = e;
+    return harness::sweep_json(harness::run_sweep(sweep, {.threads = threads}));
+  };
+  std::string ref = json_at(Engine::kReference, 1);
+  const std::string ref_name = "\"engine\": \"reference\"";
+  const auto at = ref.find(ref_name);
+  ASSERT_NE(at, std::string::npos);
+  ref.replace(at, ref_name.size(), "\"engine\": \"event\"");
 
-  sweep.engine = Engine::kEventDriven;
-  const auto ev = harness::run_sweep(sweep, {.threads = 2});
-  ASSERT_EQ(ev.results.size(), one.results.size());
-  for (std::size_t i = 0; i < ev.results.size(); ++i) {
-    EXPECT_EQ(ev.results[i].cycles, one.results[i].cycles) << "trial " << i;
-    EXPECT_EQ(ev.results[i].messages, one.results[i].messages)
-        << "trial " << i;
-    EXPECT_EQ(ev.results[i].peak_aux_words, one.results[i].peak_aux_words)
-        << "trial " << i;
-    EXPECT_EQ(ev.results[i].error, one.results[i].error) << "trial " << i;
-  }
+  EXPECT_EQ(ref, json_at(Engine::kEventDriven, 1));
+  EXPECT_EQ(ref, json_at(Engine::kEventDriven, 4));
 }
 
 TEST(SchedulerEquivalence, SkipHeavyHandRolledProtocol) {

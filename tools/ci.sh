@@ -8,12 +8,12 @@
 # proves the global-new fallback builds and passes the same suite.
 #
 # Static analysis rides along in three places: tools/lint.sh (mcblint, the
-# repo-aware analyzer with rules MCB-L1..L6, plus the clang-tidy profile)
-# runs against the release tree's compile_commands.json with the same 0/1/3
-# exit discipline as `mcbsim gates` (3 = a tool could not run here — loud
-# warning, not silent pass); every preset leg re-runs that preset's own
-# mcblint binary and cmp's two --json runs (the linter is held to the same
-# byte-determinism contract as the engines it audits); and a
+# repo-aware analyzer with rules MCB-L1..L3, L5 and L6, plus the clang-tidy
+# profile) runs against the release tree's compile_commands.json with the
+# same 0/1/3 exit discipline as `mcbsim gates` (3 = a tool could not run
+# here — loud warning, not silent pass); every preset leg re-runs that
+# preset's own mcblint binary and cmp's two --json runs (the linter is held
+# to the same byte-determinism contract as the engines it audits); and a
 # ThreadSanitizer build runs the harness / thread-pool suite — the one
 # genuinely multi-threaded subsystem — plus a checked sweep smoke.
 #
@@ -40,16 +40,15 @@ JOBS="${1:-$(nproc)}"
 WARNINGS=0
 
 # Host-capability banner: the thread-scaling bench gates arm only on >= 4
-# hardware threads, and the p=2^20 big row only inside its wall-clock
-# budget — say up front which discipline this machine is held to, so a log
-# reader can interpret UNENFORCED rows without guessing at the hardware.
+# hardware threads — say up front which discipline this machine is held
+# to, so a log reader can interpret UNENFORCED rows without guessing at the
+# hardware.
 HW_THREADS="$(nproc)"
 echo "=== host capability ==="
 echo "hardware threads: $HW_THREADS"
 if [ "$HW_THREADS" -ge 4 ]; then
   echo "bench gate policy: thread-scaling gates ENFORCED; an unenforced" \
-       "gate fails CI unless it is the budget-gated big_row_p2_20 coverage" \
-       "stub (which warns)"
+       "gate fails CI"
 else
   echo "bench gate policy: thread-scaling gates NOT enforceable here" \
        "(< 4 hardware threads); unenforced gates surface as WARNINGs"
@@ -110,8 +109,7 @@ run_preset() {
   # every answer cross-checked against host-side ground truth (--verify),
   # then the report determinism contract — the serve JSON carries only
   # model-level fields, so one seed must produce byte-identical documents
-  # whichever engine answers it and however many worker threads the
-  # parallel engine uses.
+  # whichever engine answers it.
   echo "=== [$preset] serve smoke ==="
   "$builddir/tools/mcbsim" serve --p 16 --k 4 --n 1024 --queries 48 \
     --batch 8 --seed 7 --verify > /dev/null
@@ -120,37 +118,31 @@ run_preset() {
   "$builddir/tools/mcbsim" serve --p 16 --k 4 --n 1024 --queries 48 \
     --batch 8 --seed 7 --engine reference --json \
     > "$builddir/serve_reference.json"
-  "$builddir/tools/mcbsim" serve --p 16 --k 4 --n 1024 --queries 48 \
-    --batch 8 --seed 7 --engine parallel --threads 1 --json \
-    > "$builddir/serve_par_t1.json"
-  "$builddir/tools/mcbsim" serve --p 16 --k 4 --n 1024 --queries 48 \
-    --batch 8 --seed 7 --engine parallel --threads 4 --json \
-    > "$builddir/serve_par_t4.json"
   cmp "$builddir/serve_event.json" "$builddir/serve_reference.json"
-  cmp "$builddir/serve_event.json" "$builddir/serve_par_t1.json"
-  cmp "$builddir/serve_event.json" "$builddir/serve_par_t4.json"
   # Profiler quarantine contract, made executable: a --profile run may add
   # host-time telemetry but must not perturb one model-level byte. strip-host
   # strict-parses each document (malformed profiler JSON fails here) and
   # re-serializes it without the quarantined host fields; profiled and
-  # unprofiled runs must then cmp equal. The report renderer must also
-  # accept a profiled document (it renders the Host profile section).
+  # unprofiled runs must then cmp equal — across engines too: the profiled
+  # event run against the unprofiled reference run. The report renderer
+  # must also accept a profiled document (it renders the Host profile
+  # section).
   echo "=== [$preset] profiled smoke (host_profile quarantine) ==="
-  "$builddir/tools/mcbsim" sort --p 16 --k 4 --n 1024 --engine parallel \
-    --threads 4 --profile --json > "$builddir/prof_sort.json"
-  "$builddir/tools/mcbsim" sort --p 16 --k 4 --n 1024 --engine parallel \
-    --threads 4 --json > "$builddir/plain_sort.json"
+  "$builddir/tools/mcbsim" sort --p 16 --k 4 --n 1024 --profile --json \
+    | sed 's/"engine":"event"/"engine":"reference"/' \
+    > "$builddir/prof_sort.json"
+  "$builddir/tools/mcbsim" sort --p 16 --k 4 --n 1024 --engine reference \
+    --json > "$builddir/plain_sort.json"
   "$builddir/tools/mcbsim" strip-host "$builddir/prof_sort.json" \
     > "$builddir/prof_sort.stripped.json"
   "$builddir/tools/mcbsim" strip-host "$builddir/plain_sort.json" \
     > "$builddir/plain_sort.stripped.json"
   cmp "$builddir/prof_sort.stripped.json" "$builddir/plain_sort.stripped.json"
   "$builddir/tools/mcbsim" serve --p 16 --k 4 --n 1024 --queries 48 \
-    --batch 8 --seed 7 --engine parallel --threads 4 --profile --json \
-    > "$builddir/prof_serve.json"
+    --batch 8 --seed 7 --profile --json > "$builddir/prof_serve.json"
   "$builddir/tools/mcbsim" strip-host "$builddir/prof_serve.json" \
     > "$builddir/prof_serve.stripped.json"
-  "$builddir/tools/mcbsim" strip-host "$builddir/serve_par_t4.json" \
+  "$builddir/tools/mcbsim" strip-host "$builddir/serve_reference.json" \
     > "$builddir/plain_serve.stripped.json"
   cmp "$builddir/prof_serve.stripped.json" "$builddir/plain_serve.stripped.json"
   "$builddir/tools/mcbsim" report "$builddir/prof_serve.json" > /dev/null
@@ -179,12 +171,10 @@ run_mcblint_leg() {
 # enforced gate failed (or no gates found / unreadable artifact) — fails
 # CI; exit 3 = all enforced gates passed but unenforced ones exist. On a
 # machine with >= 4 hardware threads every gate in the release artifacts is
-# expressible (the arena is on, and the two thread-scaling gates only need
-# 4 lanes), so exit 3 there means a gate that should have been armed was
+# expressible (the arena is on, and the thread-scaling gates only need 4
+# lanes), so exit 3 there means a gate that should have been armed was
 # not — a regression in the bench, not a machine limitation — and fails CI.
-# Narrower machines keep the loud WARNING. Sole exception: the
-# big_row_p2_20 coverage stub is budget-gated by wall clock, not thread
-# count, so a skip stays a WARNING on any machine.
+# Narrower machines keep the loud WARNING.
 check_gates() {
   local json="$1"
   if [ ! -f "$json" ]; then
@@ -198,21 +188,10 @@ check_gates() {
     0) ;;
     3)
       if [ "$(nproc)" -ge 4 ]; then
-        # One unenforced row is legitimate even on a wide machine: the
-        # budget-gated p=2^20 coverage stub (a slow box skips the big row
-        # however many threads it has). Anything else unenforced here is a
-        # bench regression.
-        if grep '^UNENFORCED' "$json.gates.txt" \
-            | grep -qv 'big_row_p2_20'; then
-          echo "FAIL: $json contains UNENFORCED bench gate(s) on a" \
-               ">= 4-thread machine — every gate is expressible here, so an" \
-               "unenforced gate is a bench regression (see the rows above)" >&2
-          exit 1
-        fi
-        echo "WARNING: $json skipped the budget-gated p=2^20 big row on" \
-             "this machine (set MCB_SIMSPEED_FORCE_BIG=1 to run it)" >&2
-        WARNINGS=$((WARNINGS + 1))
-        return 0
+        echo "FAIL: $json contains UNENFORCED bench gate(s) on a" \
+             ">= 4-thread machine — every gate is expressible here, so an" \
+             "unenforced gate is a bench regression (see the rows above)" >&2
+        exit 1
       fi
       echo "WARNING: $json contains UNENFORCED bench gate(s) — this machine" \
            "did not validate them (see the gate rows above)" >&2
@@ -250,36 +229,20 @@ esac
 run_preset asan-ubsan build-asan
 run_preset noarena build-noarena
 
-# ThreadSanitizer leg: the worker pool in src/harness and the parallel
-# engine's striped cycle passes are the places real threads share state, so
-# the harness suite, the full three-engine equivalence grid (which drives
-# Engine::kParallel at 1/2/4/8 workers) and a checked parallel sweep through
-# the CLI all run under TSan. Building the whole matrix under TSan would
-# double CI time for code TSan cannot exercise.
+# ThreadSanitizer leg: the sweep's trial pool (parallel_for_index, one
+# single-threaded Network per trial) is the one place real threads share
+# state, so the harness suite and a checked parallel sweep through the CLI
+# run under TSan. Building the whole matrix under TSan would double CI time
+# for code TSan cannot exercise.
 echo "=== [tsan] configure ==="
 cmake --preset tsan
-echo "=== [tsan] build (harness + equivalence suites + CLI) ==="
-cmake --build --preset tsan -j "$JOBS" \
-  --target harness_test scheduler_equivalence_test mcbsim mcblint
-echo "=== [tsan] harness / thread-pool / engine-equivalence suites ==="
+echo "=== [tsan] build (harness suite + CLI) ==="
+cmake --build --preset tsan -j "$JOBS" --target harness_test mcbsim mcblint
+echo "=== [tsan] harness / thread-pool suite ==="
 ctest --preset tsan
 echo "=== [tsan] checked parallel sweep smoke ==="
 ./build-tsan/tools/mcbsim sweep --p 4,8 --k 2 --n 64 \
   --algorithms auto,select --seeds 2 --threads 4 --check
-echo "=== [tsan] checked parallel-engine run smoke ==="
-./build-tsan/tools/mcbsim select --p 64 --k 4 --n 256 \
-  --engine parallel --threads 4 --check > /dev/null
-# The serving loop reset()s and re-runs one network across batches; under
-# the parallel engine that re-crosses every stripe handoff, so it runs
-# under TSan too — with the thread-count determinism contract on top.
-echo "=== [tsan] serve smoke (parallel engine, reset-reuse path) ==="
-./build-tsan/tools/mcbsim serve --p 16 --k 4 --n 1024 --queries 32 \
-  --batch 8 --seed 7 --verify --engine parallel --threads 4 --json \
-  > build-tsan/serve_par_t4.json
-./build-tsan/tools/mcbsim serve --p 16 --k 4 --n 1024 --queries 32 \
-  --batch 8 --seed 7 --verify --engine parallel --threads 2 --json \
-  > build-tsan/serve_par_t2.json
-cmp build-tsan/serve_par_t4.json build-tsan/serve_par_t2.json
 run_mcblint_leg tsan build-tsan
 
 # Profiling entry point: on hosts with perf the full record/report path is
