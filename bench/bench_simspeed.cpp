@@ -21,7 +21,9 @@
 // simulator-performance trajectory. Each run row carries ns_per_resume =
 // sim_wall_ns / proc_resumes: host cost per unit of engine work. It is
 // normalized by resumes, not by p * cycles, because a sleeping processor
-// costs the event engine nothing.
+// costs the event engine nothing. Next to it, frame_bytes_per_proc =
+// arena_bytes_peak / p: the coroutine-frame bytes each processor holds at
+// the arena's high-water mark, the working set each resume touches.
 //
 // Two gates, each failing the binary when enforced:
 //   * event_vs_reference — the event engine must beat the reference loop
@@ -132,6 +134,11 @@ double ns_per_resume(const RunStats& s) {
                                    static_cast<double>(s.proc_resumes);
 }
 
+/// Peak arena bytes per processor: the frame footprint of one processor.
+std::uint64_t frame_bytes_per_proc(const RunStats& s, std::size_t p) {
+  return s.arena_bytes_peak / p;
+}
+
 /// One run as rolled up at a grid point (reference vs skipped, a single
 /// rep vs kReps) never makes it into the artifact shape: every run row has
 /// the same fields no matter how it was produced.
@@ -145,6 +152,7 @@ std::string json_run_row(const GridPoint& pt, const EngineResult& er,
      << ", \"cycles\": " << s.cycles << ", \"messages\": " << s.messages
      << ", \"sim_wall_ns\": " << s.sim_wall_ns
      << ", \"ns_per_resume\": " << ns_per_resume(s)
+     << ", \"frame_bytes_per_proc\": " << frame_bytes_per_proc(s, pt.p)
      << ", \"proc_resumes\": " << s.proc_resumes
      << ", \"cycles_per_sec\": " << s.cycles_per_sec
      << ", \"frame_allocs\": " << s.frame_allocs
@@ -244,7 +252,8 @@ int main(int argc, char** argv) {
   std::cout << "median of " << kReps << " reps per engine per point\n";
   util::Table t;
   t.header({"bench", "p", "k", "n", "cycles", "ref wall ms", "event wall ms",
-            "event resumes", "event ns/resume", "hit rate", "ref/event"});
+            "event resumes", "event ns/resume", "frame B/proc", "hit rate",
+            "ref/event"});
   for (const auto& pt : grid) {
     Row r;
     r.pt = pt;
@@ -268,6 +277,7 @@ int main(int argc, char** argv) {
                static_cast<double>(r.event.median.sim_wall_ns) / 1e6, 2),
            util::Table::num(r.event.median.proc_resumes),
            util::Table::num(ns_per_resume(r.event.median), 1),
+           util::Table::num(frame_bytes_per_proc(r.event.median, pt.p)),
            util::Table::num(r.event.median.arena_hit_rate, 3),
            pt.skip_reference ? util::Table::txt("-")
                              : util::Table::num(r.speedup(), 2)});

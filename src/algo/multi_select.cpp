@@ -6,6 +6,7 @@
 #include "algo/columnsort_even.hpp"
 #include "algo/common.hpp"
 #include "algo/partial_sums.hpp"
+#include "algo/selection_core.hpp"
 #include "mcb/network.hpp"
 #include "obs/span.hpp"
 #include "seq/selection.hpp"
@@ -30,17 +31,6 @@ struct MultiSelCtx {
   bool use_quickselect = false;
   EvenSortPlan pair_sort;  ///< one (median, count) pair per processor
 };
-
-/// Local median of the candidate list, by the paper's convention
-/// N[ceil(m/2)]; reorders `cands` (harmless — candidate sets are unordered).
-Word local_median(std::vector<Word>& cands, bool quick,
-                  util::Xoshiro256StarStar& rng) {
-  const std::size_t rank = (cands.size() + 1) / 2;
-  if (quick) {
-    return seq::kth_largest_quickselect(cands, rank, rng);
-  }
-  return seq::kth_largest(cands, rank);
-}
 
 ProcMain multi_selection_program(Proc& self, const MultiSelCtx& ctx,
                                  const std::vector<Word>& input,
@@ -111,15 +101,9 @@ ProcMain multi_selection_program(Proc& self, const MultiSelCtx& ctx,
       const std::size_t half = (m + 1) / 2;  // ceil(m/2)
       const bool am_star = static_cast<std::size_t>(ps.before) < half &&
                            half <= static_cast<std::size_t>(ps.self);
-      Word med_star = 0;
-      if (am_star) {
-        med_star = pair[0].key;
-        co_await self.write(0, Message::of(med_star));
-      } else {
-        auto got = co_await self.read(0);
-        MCB_CHECK(got.has_value(), "no weighted-median broadcast");
-        med_star = got->at(0);
-      }
+      const MedianBroadcast bc{am_star, pair[0].key};
+      const Word med_star =
+          bc.heard(co_await self.cycle(bc.write(), bc.read()));
 
       // 4. count candidates >= med_star network-wide.
       Word ge_local = 0;
@@ -183,42 +167,28 @@ ProcMain multi_selection_program(Proc& self, const MultiSelCtx& ctx,
     const auto ps = co_await partial_sums(
         self, static_cast<Word>(seg.cands.size()), SumOp::add(),
         {.with_total = true});
-    const auto m = static_cast<std::size_t>(ps.total);
-    const auto lo = static_cast<std::size_t>(ps.before);
-    const auto hi = static_cast<std::size_t>(ps.self);
-    if (i == 0) {
-      std::vector<Word> pool;
-      pool.reserve(m);
-      for (std::size_t t = 0; t < m; ++t) {
-        if (t >= lo && t < hi) {
-          const Word w = seg.cands[t - lo];
-          co_await self.write(0, Message::of(w));
-          pool.push_back(w);
-        } else {
-          auto got = co_await self.read(0);
-          MCB_CHECK(got.has_value(), "termination slot " << t << " empty");
-          pool.push_back(got->at(0));
-        }
+    Termination term(
+        i, seg.cands, ps, seg.ranks.size(),
+        [&self, &seg](std::vector<Word>& pool) {
+          self.note_aux(pool.size());
+          std::vector<Word> out;
+          out.reserve(seg.ranks.size());
+          for (const RankRef& r : seg.ranks) {
+            MCB_CHECK(r.d >= 1 && r.d <= pool.size(),
+                      "rank " << r.d << " of " << pool.size()
+                              << " survivors");
+            out.push_back(seq::kth_largest(pool, r.d));
+          }
+          return out;
+        });
+    while (term.next()) {
+      if (term.idle > 0) co_await self.skip(term.idle);
+      if (term.acts) {
+        term.consume(co_await self.cycle(std::move(term.write), term.read));
       }
-      self.note_aux(pool.size());
-      for (const RankRef& r : seg.ranks) {
-        MCB_CHECK(r.d >= 1 && r.d <= m,
-                  "rank " << r.d << " of " << m << " survivors");
-        const Word a = seq::kth_largest(pool, r.d);
-        answers[r.idx] = a;
-        co_await self.write(0, Message::of(a));
-      }
-    } else {
-      if (lo > 0) co_await self.skip(lo);
-      for (Word w : seg.cands) {
-        co_await self.write(0, Message::of(w));
-      }
-      if (m > hi) co_await self.skip(m - hi);
-      for (const RankRef& r : seg.ranks) {
-        auto got = co_await self.read(0);
-        MCB_CHECK(got.has_value(), "no answer broadcast for rank " << r.d);
-        answers[r.idx] = got->at(0);
-      }
+    }
+    for (std::size_t j = 0; j < seg.ranks.size(); ++j) {
+      answers[seg.ranks[j].idx] = term.answers()[j];
     }
   }
   phases_out = phases;

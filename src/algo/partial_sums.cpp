@@ -1,9 +1,13 @@
 #include "algo/partial_sums.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "algo/common.hpp"
 #include "obs/span.hpp"
 #include "util/check.hpp"
 
@@ -31,189 +35,299 @@ std::size_t ceil_log2(std::size_t p) {
   return d;
 }
 
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
+constexpr std::size_t kNoAct = SIZE_MAX;
 
-}  // namespace
-
-Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
-                                     PartialSumsOptions opts) {
-  const std::size_t p = self.p();
-  const std::size_t k = self.k();
-  const std::size_t i = self.id();
-  const std::size_t depth = ceil_log2(p);
-  const std::size_t p2 = std::size_t{1} << depth;
-
-  obs::Span sp(self, "partial-sums");
-  PartialSumsResult out;
-  if (p == 1) {
-    out.before = op.identity;
-    out.self = a_i;
-    out.next = a_i;
-    out.total = a_i;
-    co_return out;
+/// One processor's walk through the collective's schedule, in plain code.
+/// next() plans the processor's next act: `idle` cycles of sleep, then (if
+/// `acts`) one cycle with an optional write and an optional read. consume()
+/// takes that cycle's read result. The coroutine below is then a single
+/// skip + cycle act site, which keeps its frame small: GCC 12 gives every
+/// local and every co_await temporary of a coroutine its own frame slot, so
+/// each extra act site would cost every processor its awaiter and message
+/// temporaries for the whole call.
+///
+/// The schedule: Vishkin's tree, simulated level by level. Each tree level
+/// burns exactly `cycles` cycles, with at most one channel action at
+/// in-level cycle `at`. Idle cycles accumulate in `pending_`, so a processor
+/// that sits out several consecutive levels sleeps through them in a single
+/// suspension.
+class Walk {
+ public:
+  Walk(Proc& self, Word a_i, const SumOp& op, PartialSumsOptions opts)
+      : op_(op),
+        opts_(opts),
+        i_(self.id()),
+        p_(self.p()),
+        k_(self.k()),
+        depth_(ceil_log2(p_)),
+        a_(a_i),
+        f_(op.identity) {
+    if (p_ == 1) {
+      out_ = {op.identity, a_i, a_i, a_i};
+      stage_ = Stage::kDone;
+      return;
+    }
+    // val_[l] = combined value of the subtree of the level-l node this
+    // processor simulates (it simulates node (l, i >> l) iff 2^l | i).
+    val_.assign(depth_ + 1, op.identity);
+    val_[0] = a_i;
+    self.note_aux(val_.size());
   }
 
-  // val[l] = combined value of the subtree of the level-l node this
-  // processor simulates (it simulates node (l, i >> l) iff 2^l | i).
-  std::vector<Word> val(depth + 1, op.identity);
-  val[0] = a_i;
-  self.note_aux(val.size());
+  /// Plans the next act; false once the schedule is done.
+  bool next() {
+    idle = 0;
+    acts = false;
+    write.reset();
+    read.reset();
+    while (stage_ != Stage::kDone) {
+      if (plan()) return true;
+    }
+    return false;
+  }
 
-  // Idle cycles owed to the schedule but not yet slept. Each tree level
-  // burns exactly `cycles` cycles with at most one channel action at
-  // in-level cycle `at` (`at == SIZE_MAX` = idle level); idle cycles
-  // accumulate in `pending` so a processor that sits out several
-  // consecutive levels sleeps through them in a single suspension. The
-  // per-level step is written inline in both loops rather than as a helper
-  // coroutine: a helper frame per processor per level dominated the
-  // simulator's allocation profile (~90% of all coroutine frames), and most
-  // of those calls never suspended at all.
-  std::size_t pending = 0;
+  /// Takes the read result of the cycle next() planned.
+  void consume(const Proc::ReadResult& got) {
+    switch (stage_) {
+      case Stage::kUp:
+        finish_up(got);
+        break;
+      case Stage::kDown:
+        finish_down(got);
+        break;
+      case Stage::kTotal:
+        if (i_ != 0) {
+          MCB_CHECK(got.has_value(), "total broadcast missing at P" << i_ + 1);
+          out_.total = got->at(0);
+        }
+        stage_ = opts_.with_next ? Stage::kFlush : Stage::kTail;
+        break;
+      case Stage::kNext:
+        if (t_ == read_at()) {
+          MCB_CHECK(got.has_value(),
+                    "neighbour prefix missing at P" << i_ + 1);
+          out_.next = got->at(0);
+        }
+        ++t_;
+        break;
+      case Stage::kFlush:
+      case Stage::kTail:
+      case Stage::kDone:
+        break;  // these stages only sleep
+    }
+  }
 
-  // --- bottom-up phase ------------------------------------------------------
-  for (std::size_t l = 0; l < depth; ++l) {
-    const std::size_t pairs = p2 >> (l + 1);  // fathers at level l+1
-    const std::size_t cycles = ceil_div(pairs, k);
+  const PartialSumsResult& result() const { return out_; }
+
+  // The act next() planned.
+  Cycle idle = 0;
+  bool acts = false;
+  std::optional<WriteOp> write;
+  std::optional<ChannelId> read;
+
+ private:
+  enum class Stage : std::uint8_t {
+    kUp,     // bottom-up combine, levels 0 .. depth-1
+    kDown,   // top-down prefix distribution, levels depth .. 1
+    kTotal,  // P_1 broadcasts the total
+    kFlush,  // sleep off the tree's idle tail before the exchange
+    kNext,   // neighbour exchange
+    kTail,   // sleep off the tree's idle tail
+    kDone,
+  };
+
+  /// Plans one step of the current stage: true with an act planned, false
+  /// after advancing without one.
+  bool plan() {
+    switch (stage_) {
+      case Stage::kUp:
+        return plan_up();
+      case Stage::kDown:
+        return plan_down();
+      case Stage::kTotal:
+        // P_1 holds the total from the bottom-up sweep.
+        idle = std::exchange(pending_, 0);
+        acts = true;
+        if (i_ == 0) {
+          write = WriteOp{0, Message::of(out_.total)};
+        } else {
+          read = 0;
+        }
+        return true;
+      case Stage::kFlush:
+        out_.next = out_.self;  // correct for the last processor
+        t_ = 0;
+        stage_ = Stage::kNext;
+        return sleep_pending();
+      case Stage::kNext:
+        return plan_next();
+      case Stage::kTail:
+        stage_ = Stage::kDone;
+        return sleep_pending();
+      case Stage::kDone:
+        break;
+    }
+    return false;
+  }
+
+  /// Acts at in-level cycle `at` of a level that lasts `cycles` cycles, or
+  /// sleeps through the whole level when `at == kNoAct`.
+  bool act_at(std::size_t at, std::size_t cycles) {
+    if (at == kNoAct) {
+      pending_ += cycles;
+      return false;
+    }
+    idle = pending_ + at;
+    acts = true;
+    pending_ = cycles - at - 1;
+    return true;
+  }
+
+  bool sleep_pending() {
+    idle = std::exchange(pending_, 0);
+    return idle > 0;
+  }
+
+  bool plan_up() {
+    const std::size_t l = l_;
+    if (l == depth_) {
+      if (i_ == 0) out_.total = val_[depth_];
+      stage_ = Stage::kDown;
+      return false;
+    }
     const std::size_t stride = std::size_t{1} << l;
-
-    std::size_t at = SIZE_MAX;
-    std::optional<WriteOp> write;
-    std::optional<ChannelId> read;
-    if (i % stride == 0) {
-      const std::size_t node = i >> l;
+    const std::size_t cycles = ceil_div(std::size_t{1} << (depth_ - l - 1), k_);
+    std::size_t at = kNoAct;
+    if (i_ % stride == 0) {
+      const std::size_t node = i_ >> l;
+      const std::size_t father = node / 2;
+      at = father / k_;
+      const auto ch = static_cast<ChannelId>(father % k_);
       if (node % 2 == 1) {
         // Right son: send subtree value to the father's simulator.
-        const std::size_t father = node / 2;
-        at = father / k;
-        write = WriteOp{static_cast<ChannelId>(father % k),
-                        Message::of(val[l])};
-      } else if (i % (stride * 2) == 0) {
+        write = WriteOp{ch, Message::of(val_[l])};
+      } else {
         // Father simulator (== left son simulator): receive from right son.
-        const std::size_t father = node / 2;
-        at = father / k;
-        read = static_cast<ChannelId>(father % k);
+        read = ch;
       }
     }
-    Proc::ReadResult got;
-    if (at == SIZE_MAX || at >= cycles) {
-      pending += cycles;
-    } else {
-      if (pending + at > 0) co_await self.skip(pending + at);
-      got = co_await self.cycle(std::move(write), read);
-      pending = cycles - at - 1;
-    }
-    if (i % (stride * 2) == 0) {
+    if (act_at(at, cycles)) return true;
+    finish_up(std::nullopt);
+    return false;
+  }
+
+  void finish_up(const Proc::ReadResult& got) {
+    const std::size_t l = l_++;
+    if (i_ % (std::size_t{2} << l) == 0) {
       // Silence = dummy right subtree (p not a power of two) = identity.
-      val[l + 1] = got ? op.combine(val[l], got->at(0)) : val[l];
+      val_[l + 1] = got ? op_.combine(val_[l], got->at(0)) : val_[l];
     }
   }
 
-  // --- top-down phase -------------------------------------------------------
-  // F = combined value of everything left of the current node's subtree.
-  Word f = op.identity;
-  if (i == 0) out.total = val[depth];
-  for (std::size_t l = depth; l >= 1; --l) {
-    const std::size_t fathers = p2 >> l;
-    const std::size_t cycles = ceil_div(fathers, k);
+  bool plan_down() {
+    const std::size_t l = l_;
+    if (l == 0) {
+      out_.before = f_;
+      out_.self = op_.combine(f_, a_);
+      stage_ = opts_.with_total  ? Stage::kTotal
+               : opts_.with_next ? Stage::kFlush
+                                 : Stage::kTail;
+      return false;
+    }
     const std::size_t stride = std::size_t{1} << (l - 1);
-
-    std::size_t at = SIZE_MAX;
-    std::optional<WriteOp> write;
-    std::optional<ChannelId> read;
-    bool receiving = false;
-    if (i % stride == 0) {
-      const std::size_t node = i >> (l - 1);  // this proc's node at level l-1
-      if (node % 2 == 0 && i % (stride * 2) == 0) {
+    const std::size_t cycles = ceil_div(std::size_t{1} << (depth_ - l), k_);
+    std::size_t at = kNoAct;
+    receiving_ = false;
+    if (i_ % stride == 0) {
+      const std::size_t node = i_ >> (l - 1);  // this proc's node at level l-1
+      const std::size_t father = node / 2;
+      const auto ch = static_cast<ChannelId>(father % k_);
+      if (node % 2 == 1) {
+        at = father / k_;
+        read = ch;
+        receiving_ = true;
+      } else if (i_ + stride < p_) {
         // Father: send F ⊕ L to the right son, unless the right subtree is
-        // entirely dummy (its simulator would not exist).
-        const std::size_t father = node / 2;
-        if (i + stride < p) {
-          at = father / k;
-          write = WriteOp{static_cast<ChannelId>(father % k),
-                          Message::of(op.combine(f, val[l - 1]))};
-        }
-        // f unchanged for the left son (== this processor).
-      } else if (node % 2 == 1) {
-        const std::size_t father = node / 2;
-        at = father / k;
-        read = static_cast<ChannelId>(father % k);
-        receiving = true;
+        // entirely dummy (its simulator would not exist). f is unchanged
+        // for the left son (== this processor).
+        at = father / k_;
+        write = WriteOp{ch, Message::of(op_.combine(f_, val_[l - 1]))};
       }
     }
-    Proc::ReadResult got;
-    if (at == SIZE_MAX || at >= cycles) {
-      pending += cycles;
-    } else {
-      if (pending + at > 0) co_await self.skip(pending + at);
-      got = co_await self.cycle(std::move(write), read);
-      pending = cycles - at - 1;
-    }
-    if (receiving) {
-      MCB_CHECK(got.has_value(), "top-down message missing at P" << i + 1);
-      f = got->at(0);
-    }
+    if (act_at(at, cycles)) return true;
+    finish_down(std::nullopt);
+    return false;
   }
 
-  out.before = f;
-  out.self = op.combine(f, a_i);
-
-  // --- optional total broadcast --------------------------------------------
-  if (opts.with_total) {
-    if (pending > 0) {
-      co_await self.skip(pending);
-      pending = 0;
+  void finish_down(const Proc::ReadResult& got) {
+    if (receiving_) {
+      MCB_CHECK(got.has_value(), "top-down message missing at P" << i_ + 1);
+      f_ = got->at(0);
     }
-    if (i == 0) {
-      co_await self.write(0, Message::of(out.total));
-    } else {
-      auto got = co_await self.read(0);
-      MCB_CHECK(got.has_value(), "total broadcast missing at P" << i + 1);
-      out.total = got->at(0);
-    }
+    --l_;
   }
 
-  // --- optional neighbour exchange -------------------------------------
   // P_{i+1} tells P_i its inclusive prefix; O(p/k) cycles, p-1 messages.
   // Each processor acts in at most two cycles of the exchange and sleeps
   // through the rest.
-  if (opts.with_next) {
-    if (pending > 0) {
-      co_await self.skip(pending);
-      pending = 0;
+  std::size_t send_at() const { return i_ >= 1 ? (i_ - 1) / k_ : kNoAct; }
+  std::size_t read_at() const { return i_ + 1 < p_ ? i_ / k_ : kNoAct; }
+
+  bool plan_next() {
+    const std::size_t cycles = ceil_div(p_ - 1, k_);
+    if (t_ >= cycles) {
+      stage_ = Stage::kTail;
+      return false;
     }
-    out.next = out.self;  // correct for the last processor
-    const std::size_t cycles = ceil_div(p - 1, k);
-    const std::size_t send_at = i >= 1 ? (i - 1) / k : SIZE_MAX;
-    const std::size_t read_at = i + 1 < p ? i / k : SIZE_MAX;
-    for (std::size_t t = 0; t < cycles;) {
-      std::optional<WriteOp> write;
-      std::optional<ChannelId> read;
-      if (t == send_at) {
-        write = WriteOp{static_cast<ChannelId>((i - 1) % k),
-                        Message::of(out.self)};
+    const std::size_t send = send_at();
+    const std::size_t recv = read_at();
+    if (t_ == send || t_ == recv) {
+      acts = true;
+      if (t_ == send) {
+        write = WriteOp{static_cast<ChannelId>((i_ - 1) % k_),
+                        Message::of(out_.self)};
       }
-      if (t == read_at) {
-        read = static_cast<ChannelId>(i % k);
-      }
-      if (!write && !read) {
-        std::size_t next = cycles;
-        if (send_at != SIZE_MAX && send_at > t) next = std::min(next, send_at);
-        if (read_at != SIZE_MAX && read_at > t) next = std::min(next, read_at);
-        co_await self.skip(next - t);
-        t = next;
-        continue;
-      }
-      auto got = co_await self.cycle(std::move(write), read);
-      if (t == read_at) {
-        MCB_CHECK(got.has_value(), "neighbour prefix missing at P" << i + 1);
-        out.next = got->at(0);
-      }
-      ++t;
+      if (t_ == recv) read = static_cast<ChannelId>(i_ % k_);
+      return true;
     }
+    std::size_t wake = cycles;
+    if (send != kNoAct && send > t_) wake = std::min(wake, send);
+    if (recv != kNoAct && recv > t_) wake = std::min(wake, recv);
+    idle = wake - t_;
+    t_ = wake;
+    return true;
   }
 
-  if (pending > 0) co_await self.skip(pending);
-  co_return out;
+  const SumOp& op_;
+  PartialSumsOptions opts_;
+  std::size_t i_, p_, k_, depth_;
+  Word a_;
+  Word f_;  // F: everything left of the current node's subtree, combined
+
+  Stage stage_ = Stage::kUp;
+  std::size_t l_ = 0;  // tree level: kUp counts up from 0, kDown down to 1
+  std::size_t t_ = 0;  // cycle of the neighbour exchange
+  std::size_t pending_ = 0;  // idle cycles owed to the schedule, not slept
+  bool receiving_ = false;   // the planned kDown act reads F
+  std::vector<Word> val_;
+  PartialSumsResult out_;
+};
+
+}  // namespace
+
+// The one act site: every suspension of the collective is the skip or the
+// cycle below. The walk owns the schedule and all per-call state.
+Task<PartialSumsResult> partial_sums(Proc& self, Word a_i, const SumOp& op,
+                                     PartialSumsOptions opts) {
+  obs::Span sp(self, "partial-sums");
+  Walk walk(self, a_i, op, opts);
+  while (walk.next()) {
+    if (walk.idle > 0) co_await self.skip(walk.idle);
+    if (walk.acts) {
+      walk.consume(co_await self.cycle(std::move(walk.write), walk.read));
+    }
+  }
+  co_return walk.result();
 }
 
 }  // namespace mcb::algo

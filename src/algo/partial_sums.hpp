@@ -16,6 +16,16 @@
 // in the same cycle, like an MPI collective. General p is supported (the
 // conceptual tree is padded to a power of two; dummy nodes simply never
 // write, and the detectable silence stands in for the identity value).
+//
+// Implementation shape: each processor walks its schedule in plain code (a
+// small non-coroutine walker in partial_sums.cpp) and the coroutine awaits
+// every act at one skip + cycle site. GCC 12 gives each local and each
+// co_await temporary of a coroutine its own frame slot, so a site per
+// phase would cost about 1.3 KB of frame per processor per call; one site
+// fits the frame arena's 576-byte class, which the pair sort's frames
+// already occupy in selection (docs/ENGINE.md, "Memory model").
+// tests/partial_sums_test.cpp pins the exact schedule (cycles, messages,
+// resumes, trace digest) and the frame budget.
 #pragma once
 
 #include <functional>

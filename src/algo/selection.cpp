@@ -5,6 +5,7 @@
 #include "algo/columnsort_even.hpp"
 #include "algo/common.hpp"
 #include "algo/partial_sums.hpp"
+#include "algo/selection_core.hpp"
 #include "mcb/network.hpp"
 #include "obs/span.hpp"
 #include "seq/selection.hpp"
@@ -20,17 +21,6 @@ struct SelCtx {
   bool use_quickselect = false;
   EvenSortPlan pair_sort;  ///< one (median, count) pair per processor
 };
-
-/// Local median of the candidate list, by the paper's convention
-/// N[ceil(m/2)]; reorders `cands` (harmless — candidate sets are unordered).
-Word local_median(std::vector<Word>& cands, bool quick,
-                  util::Xoshiro256StarStar& rng) {
-  const std::size_t rank = (cands.size() + 1) / 2;
-  if (quick) {
-    return seq::kth_largest_quickselect(cands, rank, rng);
-  }
-  return seq::kth_largest(cands, rank);
-}
 
 ProcMain selection_program(Proc& self, const SelCtx& ctx,
                            const std::vector<Word>& input, Word& answer,
@@ -85,15 +75,8 @@ ProcMain selection_program(Proc& self, const SelCtx& ctx,
     const std::size_t half = (m + 1) / 2;  // ceil(m/2)
     const bool am_star = static_cast<std::size_t>(ps.before) < half &&
                          half <= static_cast<std::size_t>(ps.self);
-    Word med_star = 0;
-    if (am_star) {
-      med_star = pair[0].key;
-      co_await self.write(0, Message::of(med_star));
-    } else {
-      auto got = co_await self.read(0);
-      MCB_CHECK(got.has_value(), "no weighted-median broadcast");
-      med_star = got->at(0);
-    }
+    const MedianBroadcast bc{am_star, pair[0].key};
+    const Word med_star = bc.heard(co_await self.cycle(bc.write(), bc.read()));
 
     // 4. count candidates >= med_star network-wide.
     Word ge_local = 0;
@@ -130,35 +113,17 @@ ProcMain selection_program(Proc& self, const SelCtx& ctx,
         {.with_total = true});
     const auto m = static_cast<std::size_t>(ps.total);
     MCB_CHECK(d >= 1 && d <= m, "rank " << d << " of " << m << " survivors");
-    const auto lo = static_cast<std::size_t>(ps.before);
-    const auto hi = static_cast<std::size_t>(ps.self);
-    if (i == 0) {
-      std::vector<Word> pool;
-      pool.reserve(m);
-      for (std::size_t t = 0; t < m; ++t) {
-        if (t >= lo && t < hi) {
-          const Word w = cands[t - lo];
-          co_await self.write(0, Message::of(w));
-          pool.push_back(w);
-        } else {
-          auto got = co_await self.read(0);
-          MCB_CHECK(got.has_value(), "termination slot " << t << " empty");
-          pool.push_back(got->at(0));
-        }
-      }
+    Termination term(i, cands, ps, 1, [&self, d](std::vector<Word>& pool) {
       self.note_aux(pool.size());
-      answer = seq::kth_largest(pool, d);
-      co_await self.write(0, Message::of(answer));
-    } else {
-      if (lo > 0) co_await self.skip(lo);
-      for (Word w : cands) {
-        co_await self.write(0, Message::of(w));
+      return std::vector<Word>{seq::kth_largest(pool, d)};
+    });
+    while (term.next()) {
+      if (term.idle > 0) co_await self.skip(term.idle);
+      if (term.acts) {
+        term.consume(co_await self.cycle(std::move(term.write), term.read));
       }
-      if (m > hi) co_await self.skip(m - hi);
-      auto got = co_await self.read(0);
-      MCB_CHECK(got.has_value(), "no answer broadcast");
-      answer = got->at(0);
     }
+    answer = term.answers()[0];
   }
 }
 

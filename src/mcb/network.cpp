@@ -15,6 +15,7 @@ Network::Network(SimConfig cfg, TraceSink* sink)
   mode_ = cfg_.engine;
   tab_.resize(cfg_.p);
   procs_.reserve(cfg_.p);
+  programs_.reserve(cfg_.p);
   for (std::size_t i = 0; i < cfg_.p; ++i) {
     // Proc's constructor is private (Network is its only factory), so
     // make_unique cannot reach it.
@@ -39,13 +40,13 @@ Proc& Network::proc(ProcId i) {
 void Network::install(ProcId i, ProcMain program) {
   MCB_REQUIRE(i < procs_.size(), "processor index " << i << " of " << cfg_.p);
   MCB_REQUIRE(!installed_[i], "P" << i + 1 << " already has a program");
-  MCB_REQUIRE(programs_.size() == static_cast<std::size_t>(
-                  std::count(installed_.begin(), installed_.end(), true)),
+  MCB_REQUIRE(programs_.size() == installed_count_,
               "programs/installed bookkeeping out of sync");
   program.handle().promise().proc = procs_[i].get();
   tab_.resume_point[i] = program.handle();
   tab_.program[i] = program.handle();
   installed_[i] = true;
+  ++installed_count_;
   programs_.push_back(std::move(program));
 }
 
@@ -169,8 +170,7 @@ void Network::emit_event(ProcId i) {
 
 RunStats Network::run() {
   MCB_REQUIRE(!ran_, "Network::run() is single-shot — reset() re-arms it");
-  MCB_REQUIRE(std::all_of(installed_.begin(), installed_.end(),
-                          [](bool b) { return b; }),
+  MCB_REQUIRE(installed_count_ == cfg_.p,
               "every processor needs a program before run()");
   ran_ = true;
 
@@ -252,6 +252,7 @@ void Network::reset() {
   programs_.clear();
   tab_.reset();
   std::fill(installed_.begin(), installed_.end(), false);
+  installed_count_ = 0;
 
   std::fill(slot_written_.begin(), slot_written_.end(), std::uint8_t{0});
   std::fill(slot_writer_.begin(), slot_writer_.end(), ProcId{0});

@@ -136,6 +136,9 @@ class Network {
   std::vector<std::unique_ptr<Proc>> procs_;
   std::vector<ProcMain> programs_;  // parallel to procs_; keeps frames alive
   std::vector<bool> installed_;
+  // Programs installed since construction or reset(), so install() and
+  // run() check their preconditions in O(1), not O(p) per call.
+  std::size_t installed_count_ = 0;
 
   // Channel state for the cycle in flight, struct-of-arrays: whether each
   // channel was written, by whom, and what.

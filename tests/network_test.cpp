@@ -3,11 +3,14 @@
 // accounting, task composition and error propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "mcb/errors.hpp"
 #include "mcb/network.hpp"
+#include "obs/clock.hpp"
 #include "util/check.hpp"
 
 namespace mcb {
@@ -300,6 +303,37 @@ TEST(NetworkTest, DoubleInstallRejected) {
   net.install(0, idle_program(net.proc(0), 1));
   EXPECT_THROW(net.install(0, idle_program(net.proc(0), 1)),
                std::invalid_argument);
+}
+
+ProcMain noop_program(Proc&) { co_return; }
+
+// Host time of installing p ready-made no-op programs. The programs are
+// built before the clock starts, so this times the network's own
+// bookkeeping; no-op frames keep the working set of p=2^14 in cache.
+std::uint64_t install_ns(std::size_t p) {
+  Network net({.p = p, .k = 1});
+  std::vector<ProcMain> programs;
+  programs.reserve(p);
+  for (ProcId i = 0; i < p; ++i) programs.push_back(noop_program(net.proc(i)));
+  obs::SteadyClock clock;
+  const std::uint64_t start = clock.now_ns();
+  for (ProcId i = 0; i < p; ++i) net.install(i, std::move(programs[i]));
+  return clock.now_ns() - start;
+}
+
+TEST(NetworkTest, InstallScalesLinearly) {
+  // 4x the processors: linear bookkeeping costs about 4x, a per-install
+  // scan over all processors about 16x. Minimum of 5 reps per size, taken
+  // alternately so both sizes see the same host load.
+  std::uint64_t small = UINT64_MAX;
+  std::uint64_t large = UINT64_MAX;
+  for (int rep = 0; rep < 5; ++rep) {
+    small = std::min(small, install_ns(std::size_t{1} << 12));
+    large = std::min(large, install_ns(std::size_t{1} << 14));
+  }
+  EXPECT_LT(static_cast<double>(large), 8.0 * static_cast<double>(small))
+      << "install at p=2^12: " << small << " ns, at p=2^14: " << large
+      << " ns";
 }
 
 TEST(NetworkTest, MaxCyclesGuard) {
