@@ -23,7 +23,10 @@
 // normalized by resumes, not by p * cycles, because a sleeping processor
 // costs the event engine nothing. Next to it, frame_bytes_per_proc =
 // arena_bytes_peak / p: the coroutine-frame bytes each processor holds at
-// the arena's high-water mark, the working set each resume touches.
+// the arena's high-water mark, the working set each resume touches. The
+// top-level resume_cost_growth is selection ns_per_resume at p=65536 over
+// the same at p=4096: 1.0 when the engine's cost per resume does not grow
+// with p. It is reported, not gated.
 //
 // Two gates, each failing the binary when enforced:
 //   * event_vs_reference — the event engine must beat the reference loop
@@ -53,7 +56,8 @@ constexpr std::size_t kReps = 3;
 
 // Event-engine wall clock of selection p=4096 k=4 recorded in
 // BENCH_simspeed.json by PR 2 (commit 59e879e), before the frame arena and
-// the wake wheel. The arena gate measures against this fixed point.
+// before the scheduler's ordered-map far queue became a timing wheel. The
+// arena gate measures against this fixed point.
 constexpr std::uint64_t kPr2EventWallNs = 206128073;
 constexpr double kArenaRequiredSpeedup = 1.3;
 constexpr double kArenaRequiredHitRate = 0.9;
@@ -134,6 +138,19 @@ double ns_per_resume(const RunStats& s) {
                                    static_cast<double>(s.proc_resumes);
 }
 
+/// Selection ns_per_resume at p=65536 over the same at p=4096 (0 when a row
+/// is missing).
+double resume_cost_growth(const std::vector<Row>& rows) {
+  double small = 0.0;
+  double large = 0.0;
+  for (const auto& r : rows) {
+    if (r.pt.bench != "selection") continue;
+    if (r.pt.p == 4096) small = ns_per_resume(r.event.median);
+    if (r.pt.p == 65536) large = ns_per_resume(r.event.median);
+  }
+  return small == 0.0 ? 0.0 : large / small;
+}
+
 /// Peak arena bytes per processor: the frame footprint of one processor.
 std::uint64_t frame_bytes_per_proc(const RunStats& s, std::size_t p) {
   return s.arena_bytes_peak / p;
@@ -195,7 +212,8 @@ void write_json(const std::vector<Row>& rows, const Row& headline,
     out << json_run_row(rows[i].pt, rows[i].event, Engine::kEventDriven)
         << (i + 1 < rows.size() ? ",\n" : "\n");
   }
-  out << "  ],\n  \"speedups\": [\n";
+  out << "  ],\n  \"resume_cost_growth\": " << resume_cost_growth(rows)
+      << ",\n  \"speedups\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     out << "    {\"bench\": \"" << rows[i].pt.bench
         << "\", \"p\": " << rows[i].pt.p << ", \"k\": " << rows[i].pt.k
@@ -296,6 +314,8 @@ int main(int argc, char** argv) {
 
   write_json(rows, *headline, json_path);
   std::cout << "\nwrote " << json_path << "\n";
+  std::cout << "selection ns/resume growth p=4096 -> p=65536: "
+            << resume_cost_growth(rows) << "x (reported, not gated)\n";
 
   // Gate 1 (since PR 1): the skip-heavy selection workload at p=4096, k=4
   // must run at least 5x faster under the event engine than the reference.

@@ -68,7 +68,7 @@ void Network::on_cycle_op(Proc& pr) {
   tab_.wake_cycle[id] = now_ + 1;
   if (mode_ == Engine::kEventDriven) {
     sched_.add_active(id);
-    sched_.schedule_wake(id, now_ + 1, now_);
+    sched_.schedule_wake(id, now_ + 1);
   }
 }
 
@@ -76,7 +76,7 @@ void Network::on_sleep(Proc& pr, Cycle t) {
   const ProcId id = pr.id_;
   tab_.wake_cycle[id] = now_ + t;
   if (mode_ == Engine::kEventDriven) {
-    sched_.schedule_wake(id, now_ + t, now_);
+    sched_.schedule_wake(id, now_ + t);
   }
 }
 
@@ -289,7 +289,7 @@ void Network::run_event_loop() {
     // sleeping processor holds no channel intent), so jump straight to the
     // last idle cycle. Statistics are exact because nothing observable
     // happens in the skipped span.
-    const Cycle next = sched_.next_wake(now_);
+    const Cycle next = sched_.next_wake();
     if (next > now_ + 1) now_ = next - 1;
     if (now_ >= cfg_.max_cycles) throw_max_cycles();
 

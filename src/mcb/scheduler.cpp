@@ -1,26 +1,11 @@
 #include "mcb/scheduler.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace mcb {
 
-namespace {
-
-/// Heap comparator: the spill heap is a min-heap on the wake cycle (std::
-/// *_heap builds a max-heap under the comparator, so "later wakes first"
-/// yields the earliest wake at front()).
-struct SpillLater {
-  template <typename S>
-  bool operator()(const S& a, const S& b) const {
-    return a.wake > b.wake;
-  }
-};
-
-}  // namespace
-
-Scheduler::Scheduler(std::size_t p, std::size_t k) {
+Scheduler::Scheduler(std::size_t p, std::size_t k)
+    : link_(p, kNil), wake_(p, 0) {
   next_bucket_.reserve(p);
   drain_entries_.reserve(p);
   active_.reserve(p);
@@ -29,38 +14,35 @@ Scheduler::Scheduler(std::size_t p, std::size_t k) {
 
 void Scheduler::reset() {
   next_bucket_.clear();
-  for (auto& bucket : wheel_) bucket.clear();
-  wheel_count_ = 0;
-  spill_.clear();
+  for (auto& level : slots_) level.fill(Slot{});
+  mask_.fill(0);
+  cur_ = 0;
   pending_ = 0;
   drain_entries_.clear();
   active_.clear();
   dirty_.clear();
 }
 
-void Scheduler::push_spill(ProcId id, Cycle wake) {
-  spill_.push_back(SpillEntry{wake, id});
-  std::push_heap(spill_.begin(), spill_.end(), SpillLater{});
+ProcId Scheduler::take(unsigned level, unsigned s) {
+  const ProcId head = slots_[level][s].head;
+  slots_[level][s] = Slot{};
+  mask_[level] &= ~(std::uint64_t{1} << s);
+  return head;
 }
 
-Cycle Scheduler::next_wake(Cycle now) const {
-  if (!next_bucket_.empty()) return now + 1;
-  // The earliest pending wake is either in the wheel (scan forward from
-  // now+1; every pending wheel wake is within kWheelSize cycles, so the
-  // first occupied slot met is the earliest) or at the top of the spill
-  // heap — whichever comes first.
-  if (wheel_count_ > 0) {
-    for (Cycle d = 1; d <= kWheelSize; ++d) {
-      const Cycle c = now + d;
-      if (!wheel_[c & kWheelMask].empty()) {
-        return spill_.empty() ? c : std::min(c, spill_.front().wake);
-      }
+Cycle Scheduler::next_wake() const {
+  if (!next_bucket_.empty()) return cur_ + 1;
+  // Level-L entries all exceed the current cycle at digit L while agreeing
+  // with it above, so they wake before any entry of a higher level: the
+  // lowest occupied slot of the lowest non-empty level holds the minimum.
+  for (std::size_t level = 0; level < kLevels; ++level) {
+    if (mask_[level] != 0) {
+      const auto s = static_cast<unsigned>(std::countr_zero(mask_[level]));
+      return slots_[level][s].min_wake;
     }
-    MCB_CHECK(false, "wheel count " << wheel_count_ << " but no occupied "
-                                    << "slot within the horizon");
   }
-  MCB_CHECK(!spill_.empty(), "next_wake on an empty queue");
-  return spill_.front().wake;
+  MCB_CHECK(false, "next_wake on an empty queue");
+  return cur_;
 }
 
 const std::vector<ProcId>& Scheduler::drain_due(Cycle now) {
@@ -69,33 +51,29 @@ const std::vector<ProcId>& Scheduler::drain_due(Cycle now) {
   drain_entries_.clear();
   std::swap(drain_entries_, next_bucket_);
 
-  // Merge the wheel bucket that has come due. Slot-window invariant: every
-  // entry in slot now & mask has wake == now exactly, so the whole bucket
-  // drains. Entries arrive across multiple registration cycles, hence in
-  // arbitrary id order — remember to re-sort below.
-  bool merged = false;
-  auto& bucket = wheel_[now & kWheelMask];
-  if (!bucket.empty()) {
-    drain_entries_.insert(drain_entries_.end(), bucket.begin(), bucket.end());
-    wheel_count_ -= bucket.size();
-    bucket.clear();  // keeps capacity: the bucket vector is recycled
-    merged = true;
+  // Cascade. Entering a new block at level H > 0 re-places the slot `now`
+  // enters there; no entry lies below level H (it would wake before `now`),
+  // so that slot is the only one that can hold wakes in the new block.
+  const Cycle diff = cur_ ^ now;
+  cur_ = now;
+  if (diff >= kSlots) {
+    const unsigned level = level_of(diff);
+    for (ProcId id = take(level, digit(now, level)); id != kNil;) {
+      const ProcId next = link_[id];
+      place(id, wake_[id]);
+      id = next;
+    }
   }
 
-  // Merge spill entries that have come due (long sleeps registered beyond
-  // the wheel horizon stay in the heap until their cycle arrives).
-  while (!spill_.empty() && spill_.front().wake <= now) {
-    std::pop_heap(spill_.begin(), spill_.end(), SpillLater{});
-    drain_entries_.push_back(spill_.back().id);
-    spill_.pop_back();
-    merged = true;
+  // Every entry of the level-0 slot for `now` wakes at `now` exactly.
+  // Entries arrive across several registration cycles, so the merged drain
+  // is re-sorted by id, but only when it is out of order: a slot filled by
+  // one id-ordered drain usually is not.
+  const std::size_t bucket = drain_entries_.size();
+  for (ProcId id = take(0, digit(now, 0)); id != kNil; id = link_[id]) {
+    drain_entries_.push_back(id);
   }
-
-  // Merged drains must be re-sorted by id for deterministic resume order,
-  // but most are already sorted (a wheel bucket filled during a single
-  // registration cycle inherits that cycle's id-ordered drain), so a linear
-  // is_sorted pass usually replaces the sort.
-  if (merged &&
+  if (drain_entries_.size() > bucket &&
       !std::is_sorted(drain_entries_.begin(), drain_entries_.end())) {
     std::sort(drain_entries_.begin(), drain_entries_.end());
   }

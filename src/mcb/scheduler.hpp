@@ -7,32 +7,26 @@
 // suspension cost O(1) amortized and lets the network iterate only over the
 // processors that actually participate in the cycle in flight.
 //
-// The wake queue is a three-tier structure keyed on the wake cycle — a
-// hierarchical bucket wheel in the calendar-queue tradition of discrete-event
-// simulators:
+// The wake queue has two tiers keyed on the wake cycle:
 //
 //   * next bucket — processors waking exactly one cycle ahead (every channel
 //     op, and skip(1)). This is the hot path: pushes happen in processor-id
 //     order during the drain of the previous cycle, so the bucket is always
-//     id-sorted by construction and push/pop are O(1). A binary heap here
-//     measurably dominates simulation time (an O(log p) sift per resume,
-//     tens of millions of times per run).
-//   * wheel       — kWheelSize buckets indexed by wake & kWheelMask, holding
-//     wakes within the next kWheelSize cycles. Registration is one push_back
-//     into an array slot — O(1), no node allocation, no tree rebalancing —
-//     and bucket vectors are recycled drain over drain (clear keeps
-//     capacity). Slot residency is unambiguous: every pending wheel wake
-//     lies in (now, now + kWheelSize], a window of exactly kWheelSize
-//     cycles, so distinct pending wakes never share a slot and a drained
-//     bucket contains only entries due that very cycle.
-//   * spill heap  — wakes beyond the wheel horizon, in a binary min-heap on
-//     the wake cycle. Only very long skips land here (O(log #spilled) each);
-//     entries stay in the heap until their cycle comes due — no migration
-//     pass when the horizon advances past them.
+//     id-sorted by construction and push/pop are O(1).
+//   * timing wheel — every longer wake (Varghese & Lauck's hierarchical
+//     wheel). A cycle is read as eleven 6-bit digits, enough for any 64-bit
+//     Cycle; level L has one slot per value of digit L. A wake sits at the
+//     level of the highest digit in which it differs from the wheel's
+//     current cycle, in the slot named by that digit. Push is O(1).
 //
-// A drain that merged wheel or spill entries is re-sorted by processor id,
-// restoring the reference engine's deterministic resume order (the previous
-// ordered-map far queue needed the same sort; see docs/ENGINE.md).
+// Slots are intrusive lists threaded through per-processor link_/wake_
+// arrays allocated once, so memory is O(p) plus a fixed slot table. When a
+// drain enters a new block at level H, the one slot entered there cascades:
+// its entries are re-placed strictly lower, so each cascades at most once
+// per level. next_wake() is one countr_zero on the lowest non-empty level's
+// occupancy mask: idle-cycle fast-forward is O(levels). A drain is the next
+// bucket, then the due level-0 slot, re-sorted by id only when out of order
+// (the reference engine's resume order; see docs/ENGINE.md, "Costs").
 //
 // Two more lists let the run loop touch only what changed:
 //
@@ -43,14 +37,16 @@
 //     slots is O(writes), not O(k).
 //
 // Invariants (see docs/ENGINE.md): every live suspended processor sits in
-// exactly one tier; the active list holds exactly the processors whose
-// wake cycle is now+1 *and* that registered a channel intent; a cycle whose
-// drain would be empty is observationally silent and may be skipped
-// wholesale (idle-cycle fast-forward).
+// exactly one tier; the active list holds exactly the processors waking at
+// now+1 that registered a channel intent; a cycle whose drain would be
+// empty is observationally silent and may be skipped (fast-forward).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "mcb/types.hpp"
@@ -61,40 +57,34 @@ class Scheduler {
  public:
   Scheduler(std::size_t p, std::size_t k);
 
-  /// Empties every tier plus the active and dirty lists, keeping all vector
-  /// capacities, so a long-lived network (Network::reset) re-runs without
-  /// re-growing the queue structures.
+  /// Empties both tiers plus the active and dirty lists and moves the wheel
+  /// back to cycle 0, keeping every allocation, so a long-lived network
+  /// (Network::reset) re-runs without re-growing the queue structures.
   void reset();
 
   // --- wake queue ---------------------------------------------------------
 
-  /// Registers processor `id` (suspended at cycle `now`) to be resumed at
-  /// `wake`, with wake >= now + 1. A processor is scheduled at most once at
-  /// a time (it is suspended at a single awaiter). Entries are bare
-  /// processor ids — all per-processor state lives in the Network's
-  /// ProcTable, so the queue tiers are flat id arrays.
-  void schedule_wake(ProcId id, Cycle wake, Cycle now) {
+  /// Registers processor `id`, suspended at the cycle of the last drain (0
+  /// before the first), to be resumed at `wake`, at least one cycle later.
+  /// A processor is scheduled at most once at a time (it is suspended at a
+  /// single awaiter).
+  void schedule_wake(ProcId id, Cycle wake) {
     ++pending_;
-    const Cycle ahead = wake - now;
-    if (ahead == 1) {
+    if (wake - cur_ == 1) {
       next_bucket_.push_back(id);
-    } else if (ahead <= kWheelSize) {
-      wheel_[wake & kWheelMask].push_back(id);
-      ++wheel_count_;
     } else {
-      push_spill(id, wake);
+      place(id, wake);
     }
   }
 
   bool queue_empty() const { return pending_ == 0; }
 
-  /// Earliest pending wake cycle given the current cycle `now`. Requires a
-  /// non-empty queue. O(1) on the hot path (next bucket occupied); at most
-  /// kWheelSize slot probes otherwise — only on idle-cycle fast-forwards,
-  /// which are rare by definition.
-  Cycle next_wake(Cycle now) const;
+  /// Earliest pending wake cycle. Requires a non-empty queue. O(1) on the
+  /// hot path (next bucket occupied), one mask test per level otherwise.
+  Cycle next_wake() const;
 
-  /// Collects every processor due at `now` in processor-id order. The
+  /// Collects every processor due at `now` in processor-id order. `now`
+  /// must lie after the last drain and no later than next_wake(). The
   /// returned entries are valid until the next drain; processors
   /// re-scheduling themselves while the caller iterates land in fresh
   /// buckets and are never part of the same drain.
@@ -116,21 +106,52 @@ class Scheduler {
   void clear_dirty() { dirty_.clear(); }
 
  private:
-  static constexpr std::size_t kWheelSize = 64;
-  static constexpr Cycle kWheelMask = kWheelSize - 1;
+  static constexpr unsigned kDigitBits = 6;
+  static constexpr std::size_t kSlots = std::size_t{1} << kDigitBits;
+  static constexpr std::size_t kLevels = (64 + kDigitBits - 1) / kDigitBits;
+  static constexpr ProcId kNil = ~ProcId{0};
 
-  struct SpillEntry {
-    Cycle wake;
-    ProcId id;
+  struct Slot {  ///< an intrusive list of wheel entries
+    ProcId head = kNil, tail = kNil;
+    Cycle min_wake = ~Cycle{0};
   };
 
-  void push_spill(ProcId id, Cycle wake);
+  static unsigned digit(Cycle c, unsigned level) {
+    return static_cast<unsigned>(c >> (level * kDigitBits)) & (kSlots - 1);
+  }
+  /// Level of the highest digit set in `diff` (0 for diff == 0).
+  static unsigned level_of(Cycle diff) {
+    return static_cast<unsigned>(std::bit_width(diff | 1) - 1) / kDigitBits;
+  }
+
+  /// Appends `id` to its slot relative to the wheel's current cycle; a wake
+  /// equal to that cycle goes to its level-0 slot, which drains next.
+  void place(ProcId id, Cycle wake) {
+    const unsigned level = level_of(wake ^ cur_);
+    const unsigned s = digit(wake, level);
+    Slot& slot = slots_[level][s];
+    wake_[id] = wake;
+    link_[id] = kNil;
+    if (slot.head == kNil) {
+      slot.head = id;
+      mask_[level] |= std::uint64_t{1} << s;
+    } else {
+      link_[slot.tail] = id;
+    }
+    slot.tail = id;
+    slot.min_wake = std::min(slot.min_wake, wake);
+  }
+
+  /// Empties a slot and returns its old head (kNil if it was empty).
+  ProcId take(unsigned level, unsigned s);
 
   std::vector<ProcId> next_bucket_;  ///< wakes at (drain cycle)+1
-  std::array<std::vector<ProcId>, kWheelSize> wheel_;
-  std::size_t wheel_count_ = 0;     ///< entries across all wheel buckets
-  std::vector<SpillEntry> spill_;   ///< min-heap on wake, beyond the wheel
-  std::size_t pending_ = 0;         ///< entries across all three tiers
+  std::array<std::array<Slot, kSlots>, kLevels> slots_{};
+  std::array<std::uint64_t, kLevels> mask_{};  ///< occupied slots per level
+  std::vector<ProcId> link_;  ///< next processor in the same slot, or kNil
+  std::vector<Cycle> wake_;   ///< wake cycle of each wheel entry
+  Cycle cur_ = 0;             ///< the wheel's current cycle (last drain)
+  std::size_t pending_ = 0;   ///< entries across both tiers
   std::vector<ProcId> drain_entries_;  ///< scratch, swapped with next bucket
   std::vector<ProcId> active_;
   std::vector<ChannelId> dirty_;

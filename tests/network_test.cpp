@@ -336,6 +336,39 @@ TEST(NetworkTest, InstallScalesLinearly) {
       << " ns";
 }
 
+// Host time of constructing a network of p processors: the per-processor
+// handles, the ProcTable rows and the scheduler's per-processor wake-queue
+// arrays.
+std::uint64_t construct_ns(std::size_t p) {
+  obs::SteadyClock clock;
+  const std::uint64_t start = clock.now_ns();
+  const Network net({.p = p, .k = 4});
+  const std::uint64_t ns = clock.now_ns() - start;
+  EXPECT_EQ(net.config().p, p);
+  return ns;
+}
+
+TEST(NetworkTest, ConstructionScalesLinearly) {
+  // Same shape as InstallScalesLinearly: 4x the processors must cost under
+  // 8x, minimum of 5 alternated reps per size. The first constructions at
+  // p=2^14 grow the heap and page-fault its fresh memory, which p=2^12 does
+  // not; two untimed rounds settle the heap first (without them 4 copies
+  // run side by side reached a ratio of 10, with them at most 6.2).
+  for (int warm = 0; warm < 2; ++warm) {
+    construct_ns(std::size_t{1} << 12);
+    construct_ns(std::size_t{1} << 14);
+  }
+  std::uint64_t small = UINT64_MAX;
+  std::uint64_t large = UINT64_MAX;
+  for (int rep = 0; rep < 5; ++rep) {
+    small = std::min(small, construct_ns(std::size_t{1} << 12));
+    large = std::min(large, construct_ns(std::size_t{1} << 14));
+  }
+  EXPECT_LT(static_cast<double>(large), 8.0 * static_cast<double>(small))
+      << "construction at p=2^12: " << small << " ns, at p=2^14: " << large
+      << " ns";
+}
+
 TEST(NetworkTest, MaxCyclesGuard) {
   Network net({.p = 1, .k = 1, .max_cycles = 10});
   net.install(0, idle_program(net.proc(0), 100));

@@ -12,6 +12,7 @@
 // frame-arena telemetry must agree too.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <string>
 #include <vector>
@@ -52,6 +53,22 @@ void expect_identical_stats(const RunStats& ref, const RunStats& ev,
         << label << " phase " << ref.phases[i].name;
     EXPECT_EQ(ref.phases[i].messages, ev.phases[i].messages)
         << label << " phase " << ref.phases[i].name;
+  }
+}
+
+void expect_identical_events(const ChannelTrace& ref, const ChannelTrace& ev) {
+  ASSERT_FALSE(ref.truncated());
+  ASSERT_FALSE(ev.truncated());
+  const auto& a = ref.events();
+  const auto& b = ev.events();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].cycle, b[i].cycle) << "event " << i;
+    EXPECT_EQ(a[i].proc, b[i].proc) << "event " << i;
+    EXPECT_EQ(a[i].wrote, b[i].wrote) << "event " << i;
+    EXPECT_EQ(a[i].sent, b[i].sent) << "event " << i;
+    EXPECT_EQ(a[i].read, b[i].read) << "event " << i;
+    EXPECT_EQ(a[i].received, b[i].received) << "event " << i;
   }
 }
 
@@ -128,6 +145,19 @@ TEST(SchedulerEquivalence, SelectionGrid) {
   }
 }
 
+TEST(SchedulerEquivalence, SelectionSkipsCrossWheelLevels) {
+  // SelectionGrid's p <= 16 keeps every wake within 64 cycles. At p=1024,
+  // k=4 the filtering rounds and partial-sums trees sleep Theta(p/k)-cycle
+  // spans, so wakes land above level 0 of the timing wheel and cascade.
+  const auto w = util::make_workload(4096, 1024, util::Shape::kEven, 13);
+  expect_engines_agree(
+      {.p = 1024, .k = 4},
+      [&](const SimConfig& cfg) {
+        return algo::select_rank(cfg, w.inputs, 2048).stats;
+      },
+      "select/p1024/k4");
+}
+
 TEST(SchedulerEquivalence, SelectionBySortingBaseline) {
   const auto w = util::make_workload(300, 6, util::Shape::kRandom, 5);
   expect_engines_agree(
@@ -178,23 +208,11 @@ TEST(SchedulerEquivalence, TraceStreamsIdentical) {
   };
   ChannelTrace ref_trace(1u << 20);
   const RunStats ref = run_traced(Engine::kReference, ref_trace);
-  ASSERT_FALSE(ref_trace.truncated());
-  const auto& a = ref_trace.events();
 
   ChannelTrace trace(1u << 20);
   const RunStats got = run_traced(Engine::kEventDriven, trace);
   expect_identical_stats(ref, got, "traced columnsort/event");
-  ASSERT_FALSE(trace.truncated());
-  const auto& b = trace.events();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].cycle, b[i].cycle) << "event " << i;
-    EXPECT_EQ(a[i].proc, b[i].proc) << "event " << i;
-    EXPECT_EQ(a[i].wrote, b[i].wrote) << "event " << i;
-    EXPECT_EQ(a[i].sent, b[i].sent) << "event " << i;
-    EXPECT_EQ(a[i].read, b[i].read) << "event " << i;
-    EXPECT_EQ(a[i].received, b[i].received) << "event " << i;
-  }
+  expect_identical_events(ref_trace, trace);
 }
 
 TEST(SchedulerEquivalence, SweepJsonIdenticalAcrossEngines) {
@@ -240,6 +258,38 @@ TEST(SchedulerEquivalence, SkipHeavyHandRolledProtocol) {
     return net.run();
   };
   expect_engines_agree({.p = 32, .k = 8}, go, "skip-heavy");
+}
+
+// Skips just below, at and just above the spans of wheel levels 0, 1 and 2
+// (64, 4096 and 262144 cycles), offset by the processor id and interleaved
+// with channel traffic. Each processor owns a channel, so no write collides.
+constexpr std::array<Cycle, 9> kStraddlingGaps = {
+    63, 64, 65, 4095, 4096, 4097, 262143, 262144, 262145};
+
+ProcMain straddler(Proc& self) {
+  const ProcId i = self.id();
+  const auto next = static_cast<ChannelId>((i + 1) % self.k());
+  for (std::size_t round = 0; round < 3; ++round) {
+    co_await self.skip(kStraddlingGaps[(i + 4 * round) % kStraddlingGaps.size()] + i);
+    co_await self.write(i, Message::of(static_cast<Word>(i + round)));
+    co_await self.read(next);
+  }
+}
+
+TEST(SchedulerEquivalence, SkipsStraddlingWheelLevelBoundaries) {
+  auto go = [](const SimConfig& cfg, ChannelTrace* trace) {
+    Network net(cfg, trace);
+    for (ProcId i = 0; i < cfg.p; ++i) net.install(i, straddler(net.proc(i)));
+    return net.run();
+  };
+  const SimConfig cfg{.p = 18, .k = 18};
+  ChannelTrace ref_trace(1u << 16);
+  ChannelTrace trace(1u << 16);
+  const RunStats ref = go(with_engine(cfg, Engine::kReference), &ref_trace);
+  const RunStats ev = go(with_engine(cfg, Engine::kEventDriven), &trace);
+  expect_identical_stats(ref, ev, "straddling-skips/event");
+  expect_identical_events(ref_trace, trace);
+  EXPECT_GT(ref.cycles, kStraddlingGaps.back());
 }
 
 }  // namespace

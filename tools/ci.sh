@@ -206,6 +206,21 @@ check_gates() {
 
 run_preset release build-release
 
+# Long-skip cross-engine smoke: at p=4096, k=4 selection sleeps span
+# thousands of cycles, so the event engine's wakes cross into level 2 of
+# its timing wheel and cascade down; the model-level output must still be
+# byte-identical to the reference engine's, up to the config's engine name.
+echo "=== [release] long-skip cross-engine smoke ==="
+for engine in event reference; do
+  ./build-release/tools/mcbsim select --p 4096 --k 4 --n 16384 --json \
+    --check --engine "$engine" > "build-release/longskip_$engine.json"
+  ./build-release/tools/mcbsim strip-host "build-release/longskip_$engine.json" \
+    | sed 's/"engine":"reference"/"engine":"event"/' \
+    > "build-release/longskip_$engine.stripped.json"
+done
+cmp build-release/longskip_event.stripped.json \
+  build-release/longskip_reference.stripped.json
+
 # Static-analysis wall, as soon as a build tree exists. lint.sh exits 0
 # clean / 1 findings / 3 tool-missing-warn: findings fail CI, 3 means every
 # check that ran is clean but a tool was unavailable here — the same
