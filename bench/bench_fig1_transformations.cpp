@@ -73,14 +73,23 @@ void BM_PermutationTable(benchmark::State& state) {
 }
 BENCHMARK(BM_PermutationTable)->Arg(256)->Arg(4096);
 
+// Plan build cost is dominated by the Birkhoff decomposition: transpose at
+// k=16 peels 15 matchings, undiagonalize at (16384, 64) — the shape
+// sort_dense's plan builds — peels 3192.
 void BM_PlanTransform(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto t = static_cast<sched::Transform>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sched::plan_transform(sched::Transform::kTranspose, m, 16));
+    benchmark::DoNotOptimize(sched::plan_transform(t, m, k));
   }
 }
-BENCHMARK(BM_PlanTransform)->Arg(256)->Arg(4096);
+BENCHMARK(BM_PlanTransform)
+    ->ArgNames({"transform", "m", "k"})
+    ->Args({static_cast<int>(sched::Transform::kTranspose), 256, 16})
+    ->Args({static_cast<int>(sched::Transform::kTranspose), 4096, 16})
+    ->Args({static_cast<int>(sched::Transform::kUndiagonalize), 16384, 64})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

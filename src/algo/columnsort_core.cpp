@@ -6,9 +6,6 @@
 #include "util/check.hpp"
 
 namespace mcb::algo::detail {
-namespace {
-
-}  // namespace
 
 CorePlan CorePlan::build(std::size_t m, std::size_t kk,
                          seq::ColumnsortVariant variant) {
@@ -40,6 +37,12 @@ void sort_column_desc(std::vector<KV>& column) {
                   [](const KV& a, const KV& b) { return desc_before(a, b); });
 }
 
+void merge_column_runs_desc(std::vector<KV>& column) {
+  seq::merge_sort(std::span<KV>(column), [](const KV& a, const KV& b) {
+    return desc_before(a, b);
+  });
+}
+
 Task<void> run_transform(Proc& self, const CorePlan& plan, std::size_t t,
                          std::size_t my_col, std::vector<KV>& column) {
   const auto& table = plan.tables[t];
@@ -60,10 +63,10 @@ Task<void> run_transform(Proc& self, const CorePlan& plan, std::size_t t,
   self.note_aux(2 * m);
 
   std::vector<std::size_t> ptr(plan.kk, 0);
-  for (const auto& round : rounds.rounds) {
+  for (std::size_t round = 0; round < rounds.cycles(); ++round) {
     std::optional<WriteOp> write;
     std::optional<ChannelId> read;
-    const auto dc = round.dst[my_col];
+    const auto dc = rounds.dst_of(round, my_col);
     if (dc != sched::kIdle) {
       MCB_CHECK(ptr[dc] < queue[dc].size(),
                 "send queue " << my_col << "->" << dc << " exhausted");
@@ -73,7 +76,7 @@ Task<void> run_transform(Proc& self, const CorePlan& plan, std::size_t t,
                       Message::of(column[r].key, column[r].val,
                                   static_cast<Word>(dst % m))};
     }
-    const auto sc = round.src[my_col];
+    const auto sc = rounds.src_of(round, my_col);
     if (sc != sched::kIdle) read = static_cast<ChannelId>(sc);
     auto got = co_await self.cycle(std::move(write), read);
     if (sc != sched::kIdle) {
@@ -102,8 +105,10 @@ Task<void> columnsort_phases(Proc& self, const CorePlan& plan,
       co_await run_transform(self, plan, 0, my_col, column);
     }
     {
+      // After the transpose a column is kk sorted runs, one per source
+      // column; merging them beats a full sort.
       obs::Span sp(self, "cs.phase3.sort");                  // phase 3
-      sort_column_desc(column);
+      merge_column_runs_desc(column);
     }
     {
       obs::Span sp(self, "cs.phase4.transform");             // phase 4
@@ -118,8 +123,10 @@ Task<void> columnsort_phases(Proc& self, const CorePlan& plan,
       co_await run_transform(self, plan, 2, my_col, column);
     }
     if (my_col != 0) {
+      // After the up-shift a column is two sorted runs: the bottom half of
+      // its left neighbour and its own top half.
       obs::Span sp(self, "cs.phase7.sort");                  // phase 7
-      sort_column_desc(column);
+      merge_column_runs_desc(column);
     }
     {
       obs::Span sp(self, "cs.phase8.transform");             // phase 8

@@ -42,6 +42,10 @@ struct CorePlan {
 /// Sorts a column descending by (key, val).
 void sort_column_desc(std::vector<KV>& column);
 
+/// The same order as sort_column_desc, by merging the column's sorted runs:
+/// correct on any input, fast when there are few runs (phases 3 and 7).
+void merge_column_runs_desc(std::vector<KV>& column);
+
 /// One matrix transformation (phase 2/4/6/8) from the point of view of the
 /// representative owning column `my_col`; `t` indexes CorePlan::plans.
 Task<void> run_transform(Proc& self, const CorePlan& plan, std::size_t t,

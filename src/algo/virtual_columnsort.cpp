@@ -72,10 +72,11 @@ Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
   std::vector<std::size_t> ptr(ctx.kk, 0);
 
   // --- inter-column rounds --------------------------------------------------
-  for (const auto& round : ctx.plan.plans[t].rounds) {
+  const auto& rounds = ctx.plan.plans[t];
+  for (std::size_t round = 0; round < rounds.cycles(); ++round) {
     std::optional<WriteOp> write;
     std::optional<ChannelId> read;
-    const auto dc = round.dst[j];
+    const auto dc = rounds.dst_of(round, j);
     if (dc != sched::kIdle) {
       const std::size_t r = queue[dc][ptr[dc]++];
       if (row_owner(ctx, r) == idx) {
@@ -84,7 +85,7 @@ Task<void> v_transform(Proc& self, const VCtx& ctx, std::size_t t,
                                          static_cast<Word>(dst % m))};
       }
     }
-    const auto sc = round.src[j];
+    const auto sc = rounds.src_of(round, j);
     if (sc != sched::kIdle) read = static_cast<ChannelId>(sc);
     auto got = co_await self.cycle(std::move(write), read);
     if (got) {

@@ -1,6 +1,7 @@
 #include "sched/edge_coloring.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.hpp"
 
@@ -29,21 +30,38 @@ void validate_square(const CountMatrix& m) {
   }
 }
 
-// Kuhn's augmenting-path matching on the positive support of `counts`.
-// match_col[j] = row matched to column j, or SIZE_MAX.
-bool try_kuhn(const CountMatrix& counts, std::size_t row,
-              std::vector<bool>& visited, std::vector<std::size_t>& match_col) {
-  for (std::size_t j = 0; j < counts.size(); ++j) {
-    if (counts[row][j] == 0 || visited[j]) continue;
-    visited[j] = true;
-    if (match_col[j] == SIZE_MAX ||
-        try_kuhn(counts, match_col[j], visited, match_col)) {
-      match_col[j] = row;
-      return true;
+// Kuhn's augmenting-path matching on the positive support of the counts.
+// `support` holds one bit row of `words` 64-bit words per matrix row (bit j
+// of row i set iff counts[i][j] > 0); `visited` is the DFS's column set.
+// Columns are tried in ascending order: every supported column below the
+// one just tried is already visited, so the lowest bit of row & ~visited is
+// always the next column a plain 0..k-1 scan would reach.
+struct KuhnMatcher {
+  static constexpr std::uint32_t kFree = UINT32_MAX;
+
+  const std::uint64_t* support;
+  std::size_t words;
+  std::uint64_t* visited;
+  std::uint32_t* match_col;  ///< row matched to column j, or kFree
+
+  bool augment(std::uint32_t row) const {
+    const std::uint64_t* bits = support + row * words;
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t open = bits[w] & ~visited[w];
+      while (open != 0) {
+        const auto b = static_cast<std::size_t>(std::countr_zero(open));
+        visited[w] |= std::uint64_t{1} << b;
+        const std::size_t j = w * 64 + b;
+        if (match_col[j] == kFree || augment(match_col[j])) {
+          match_col[j] = row;
+          return true;
+        }
+        open = bits[w] & ~visited[w];
+      }
     }
+    return false;
   }
-  return false;
-}
+};
 
 }  // namespace
 
@@ -243,17 +261,32 @@ std::vector<PermTerm> birkhoff_decompose(const CountMatrix& input) {
                     << rows[i] << "/" << cols[i] << " vs " << r);
   }
 
-  CountMatrix counts = input;
+  // Flat k x k counts plus their positive support as bit rows.
+  const std::size_t words = (k + 63) / 64;
+  std::vector<std::uint64_t> counts(k * k);
+  std::vector<std::uint64_t> support(k * words, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      counts[i * k + j] = input[i][j];
+      if (input[i][j] > 0) {
+        support[i * words + j / 64] |= std::uint64_t{1} << (j % 64);
+      }
+    }
+  }
   std::vector<PermTerm> result;
+  std::vector<std::uint64_t> visited(words);
+  std::vector<std::uint32_t> match_col(k);
+  const KuhnMatcher kuhn{support.data(), words, visited.data(),
+                         match_col.data()};
   std::uint64_t remaining = r;
   while (remaining > 0) {
     // Perfect matching on the support. An R-regular non-negative integer
     // matrix always has one (Hall's condition holds), so failure here is an
     // internal invariant violation.
-    std::vector<std::size_t> match_col(k, SIZE_MAX);
+    for (auto& owner : match_col) owner = KuhnMatcher::kFree;
     for (std::size_t row = 0; row < k; ++row) {
-      std::vector<bool> visited(k, false);
-      const bool ok = try_kuhn(counts, row, visited, match_col);
+      for (auto& w : visited) w = 0;
+      const bool ok = kuhn.augment(static_cast<std::uint32_t>(row));
       MCB_CHECK(ok, "no perfect matching in regular matrix (row " << row
                                                                   << ")");
     }
@@ -262,11 +295,14 @@ std::vector<PermTerm> birkhoff_decompose(const CountMatrix& input) {
     std::uint64_t lambda = UINT64_MAX;
     for (std::size_t j = 0; j < k; ++j) {
       term.perm[match_col[j]] = static_cast<std::uint32_t>(j);
-      lambda = std::min(lambda, counts[match_col[j]][j]);
+      lambda = std::min(lambda, counts[match_col[j] * k + j]);
     }
     term.count = lambda;
     for (std::size_t j = 0; j < k; ++j) {
-      counts[match_col[j]][j] -= lambda;
+      const std::size_t i = match_col[j];
+      if ((counts[i * k + j] -= lambda) == 0) {
+        support[i * words + j / 64] &= ~(std::uint64_t{1} << (j % 64));
+      }
     }
     remaining -= lambda;
     result.push_back(std::move(term));

@@ -1,11 +1,11 @@
 // Sequential sorting substrate.
 //
 // The paper's local sorting phases cite [Knut73]; this module provides the
-// stand-in: insertion sort, heapsort, bottom-up merge sort and an introsort
-// driver (quicksort with median-of-three, depth-limited into heapsort,
-// insertion sort for small ranges). Implemented from scratch so the library
-// has no hidden dependency on std::sort; std algorithms appear only in tests
-// as oracles.
+// stand-in: insertion sort, heapsort, a run-detecting bottom-up merge sort
+// (for inputs made of a few sorted runs) and an introsort driver (quicksort
+// with median-of-three, depth-limited into heapsort, insertion sort for
+// small ranges). Implemented from scratch so the library has no hidden
+// dependency on std::sort; std algorithms appear only in tests as oracles.
 //
 // All comparators follow std conventions: cmp(a, b) == true iff a must
 // precede b. The paper orders lists in *descending* magnitude (N[1] is the
@@ -68,19 +68,30 @@ void heap_sort(std::span<T> v, Cmp cmp = {}) {
   }
 }
 
-/// Stable bottom-up merge sort; allocates an n-element buffer.
+/// Stable bottom-up merge sort, natural variant: splits v into its maximal
+/// sorted runs, then merges adjacent runs pairwise, pass after pass, through
+/// an n-element buffer. O(n log r) for r runs — O(n log n) on any input, a
+/// few linear passes on an input that is a few sorted runs.
 template <typename T, typename Cmp = std::less<T>>
 void merge_sort(std::span<T> v, Cmp cmp = {}) {
   const std::size_t n = v.size();
-  if (n < 2) return;
-  std::vector<T> buf(v.begin(), v.end());
-  T* src = buf.data();
-  T* dst = v.data();
-  bool into_v = true;
-  for (std::size_t width = 1; width < n; width *= 2) {
-    for (std::size_t lo = 0; lo < n; lo += 2 * width) {
-      const std::size_t mid = std::min(lo + width, n);
-      const std::size_t hi = std::min(lo + 2 * width, n);
+  // bounds: run starts in ascending order, then n.
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t i = 1; i < n; ++i) {
+    if (cmp(v[i], v[i - 1])) bounds.push_back(i);
+  }
+  if (bounds.size() == 1) return;  // one run (or n < 2): already sorted
+  bounds.push_back(n);
+  std::vector<T> buf(n);
+  T* src = v.data();
+  T* dst = buf.data();
+  while (bounds.size() > 2) {
+    const std::size_t runs = bounds.size() - 1;
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < runs; r += 2) {
+      const std::size_t lo = bounds[r];
+      const std::size_t mid = bounds[r + 1];
+      const std::size_t hi = r + 2 <= runs ? bounds[r + 2] : mid;
       std::size_t a = lo, b = mid, o = lo;
       while (a < mid && b < hi) {
         // !cmp(src[b], src[a]) keeps equal elements from the left: stable.
@@ -89,13 +100,14 @@ void merge_sort(std::span<T> v, Cmp cmp = {}) {
       }
       while (a < mid) dst[o++] = std::move(src[a++]);
       while (b < hi) dst[o++] = std::move(src[b++]);
+      bounds[kept++] = lo;
     }
+    bounds[kept++] = n;
+    bounds.resize(kept);
     std::swap(src, dst);
-    into_v = !into_v;
   }
-  // After the final swap, `src` points at the fully sorted data.
-  if (into_v) {
-    for (std::size_t i = 0; i < n; ++i) v[i] = std::move(buf[i]);
+  if (src != v.data()) {
+    for (std::size_t i = 0; i < n; ++i) v[i] = std::move(src[i]);
   }
 }
 

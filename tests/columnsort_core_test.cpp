@@ -48,6 +48,49 @@ TEST(CorePlanTest, SortColumnDescOrdersByKeyThenValue) {
   EXPECT_EQ(col, expect);
 }
 
+std::vector<KV> column_of_runs(std::size_t m, std::size_t runs,
+                               std::uint64_t seed) {
+  // `runs` descending runs of near-equal length over a narrow key and value
+  // range, so duplicate keys and equal (key, val) pairs are common; each run
+  // restarts above the previous one's end, so runs never coalesce.
+  util::Xoshiro256StarStar rng(seed);
+  std::vector<KV> col;
+  for (std::size_t r = 0; r < runs; ++r) {
+    const std::size_t len = m / runs + (r < m % runs ? 1 : 0);
+    std::vector<KV> run(len);
+    for (auto& kv : run) kv = KV{rng.uniform(-20, 20), rng.uniform(0, 3)};
+    detail::sort_column_desc(run);
+    if (!col.empty() && !run.empty()) run.front() = KV{1000, 0};
+    col.insert(col.end(), run.begin(), run.end());
+  }
+  return col;
+}
+
+TEST(CorePlanTest, MergeColumnRunsMatchesSort) {
+  const std::size_t m = 1024, kk = 64;
+  for (std::size_t runs : {std::size_t{1}, std::size_t{2}, kk, m / 2}) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      auto merged = column_of_runs(m, runs, seed);
+      auto sorted = merged;
+      detail::merge_column_runs_desc(merged);
+      detail::sort_column_desc(sorted);
+      EXPECT_EQ(merged, sorted) << "runs=" << runs << " seed=" << seed;
+    }
+  }
+  // Random and constant columns, and the degenerate lengths.
+  util::Xoshiro256StarStar rng(17);
+  for (std::size_t n : {0u, 1u, 2u, 3u, 25u, 300u}) {
+    std::vector<KV> random(n), constant(n, KV{7, 7});
+    for (auto& kv : random) kv = KV{rng.uniform(-3, 3), rng.uniform(0, 1)};
+    for (auto* col : {&random, &constant}) {
+      auto merged = *col;
+      detail::merge_column_runs_desc(merged);
+      detail::sort_column_desc(*col);
+      EXPECT_EQ(merged, *col) << "n=" << n;
+    }
+  }
+}
+
 TEST(EvenSortPlanTest, FieldConsistency) {
   auto plan = EvenSortPlan::build(16, 4, 32);
   EXPECT_EQ(plan.p, 16u);

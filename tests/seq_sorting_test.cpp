@@ -96,25 +96,30 @@ TEST(SortingTest, IsSortedDescendingDetectsViolation) {
 
 TEST(SortingTest, MergeSortIsStable) {
   // Sort pairs by first component only; second component records input
-  // order and must be preserved among equal keys.
+  // order and must be preserved among equal keys. The input is `runs`
+  // chunks, each already sorted by key, so the run detection sees from one
+  // run up to one per element.
   struct P {
     int key;
     int tag;
     bool operator==(const P&) const = default;
   };
+  auto by_key = [](const P& a, const P& b) { return a.key < b.key; };
   util::Xoshiro256StarStar rng(3);
-  std::vector<P> v(300);
-  for (int i = 0; i < 300; ++i) {
-    v[static_cast<std::size_t>(i)] = {
-        static_cast<int>(rng.uniform(0, 9)), i};
+  for (std::size_t runs : {1u, 2u, 3u, 16u, 300u}) {
+    std::vector<P> v;
+    for (std::size_t r = 0; r < runs; ++r) {
+      std::vector<P> run(300 / runs);
+      for (auto& x : run) x.key = static_cast<int>(rng.uniform(0, 9));
+      std::stable_sort(run.begin(), run.end(), by_key);
+      v.insert(v.end(), run.begin(), run.end());
+    }
+    for (std::size_t i = 0; i < v.size(); ++i) v[i].tag = static_cast<int>(i);
+    auto expect = v;
+    std::stable_sort(expect.begin(), expect.end(), by_key);
+    merge_sort(std::span<P>(v), by_key);
+    EXPECT_EQ(v, expect) << "runs=" << runs;
   }
-  auto expect = v;
-  std::stable_sort(expect.begin(), expect.end(),
-                   [](const P& a, const P& b) { return a.key < b.key; });
-  merge_sort(std::span<P>(v), [](const P& a, const P& b) {
-    return a.key < b.key;
-  });
-  EXPECT_EQ(v, expect);
 }
 
 }  // namespace
