@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "mcb/types.hpp"
@@ -31,27 +30,6 @@ struct KV {
     return a.key != b.key ? a.key > b.key : a.val > b.val;
   }
 };
-
-/// Preconditions shared by the selection entry points (select_rank,
-/// select_ranks_on): one input per processor, no empty processor, no
-/// kDummy, every rank in [1, n] where n is the total input size.
-inline void validate_selection_inputs(
-    std::size_t p, const std::vector<std::vector<Word>>& inputs,
-    std::span<const std::size_t> ranks) {
-  MCB_REQUIRE(inputs.size() == p,
-              "inputs for " << inputs.size() << " processors, p=" << p);
-  std::size_t n = 0;
-  for (const auto& in : inputs) {
-    MCB_REQUIRE(!in.empty(), "every processor needs at least one element");
-    n += in.size();
-    for (Word w : in) {
-      MCB_REQUIRE(w != kDummy, "input contains the reserved dummy value");
-    }
-  }
-  for (std::size_t d : ranks) {
-    MCB_REQUIRE(1 <= d && d <= n, "rank " << d << " of " << n);
-  }
-}
 
 inline constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;

@@ -1,6 +1,7 @@
 #include "algo/multi_select.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "algo/columnsort_even.hpp"
@@ -25,61 +26,128 @@ struct RankRef {
   std::size_t idx;  ///< index into the unique-rank answer array
 };
 
-struct MultiSelCtx {
+struct SelCtx {
   std::size_t threshold = 0;
-  std::vector<std::size_t> uds;  ///< requested ranks, unique and ascending
+  std::vector<RankRef> ranks;  ///< the unique requested ranks, ascending
   bool use_quickselect = false;
   EvenSortPlan pair_sort;  ///< one (median, count) pair per processor
 };
 
-ProcMain multi_selection_program(Proc& self, const MultiSelCtx& ctx,
-                                 const std::vector<Word>& input,
-                                 std::vector<Word>& answers,
-                                 std::size_t& phases_out) {
+/// The selection preconditions: one input per processor, no empty
+/// processor, no kDummy, every rank in [1, n] where n is the total input
+/// size.
+void validate_selection_inputs(std::size_t p,
+                               const std::vector<std::vector<Word>>& inputs,
+                               const std::vector<std::size_t>& ranks) {
+  MCB_REQUIRE(inputs.size() == p,
+              "inputs for " << inputs.size() << " processors, p=" << p);
+  std::size_t n = 0;
+  for (const auto& in : inputs) {
+    MCB_REQUIRE(!in.empty(), "every processor needs at least one element");
+    n += in.size();
+    for (Word w : in) {
+      MCB_REQUIRE(w != kDummy, "input contains the reserved dummy value");
+    }
+  }
+  for (std::size_t d : ranks) {
+    MCB_REQUIRE(1 <= d && d <= n, "rank " << d << " of " << n);
+  }
+}
+
+/// A segment is a value window of the input plus the ranks that fall in
+/// it. `cands` is this processor's local slice; `ranks` and `m_known` are
+/// identical at every processor.
+struct Seg {
+  std::vector<Word> cands;
+  std::vector<RankRef> ranks;  ///< ascending by d (route() keeps this)
+  std::size_t m_known = 0;     ///< network-wide candidate count
+};
+
+/// Step 4's local count: the candidates >= med_star. This and route() are
+/// plain functions, not code in the coroutine, because GCC 12 gives every
+/// coroutine local its own slot in every processor's frame.
+Word count_at_least(const std::vector<Word>& cands, Word med_star) {
+  Word count = 0;
+  for (Word w : cands) {
+    if (w >= med_star) ++count;
+  }
+  return count;
+}
+
+/// Step 5, given med_star, the m_s-th largest of the segment's m
+/// candidates. A rank of exactly m_s is answered on the spot. Ranks below
+/// m_s keep the m_s - 1 candidates above med_star; ranks above it keep the
+/// m - m_s below, shifted by m_s. When the ranks straddle med_star the
+/// segment splits: the lower window goes on the stack, and `seg` becomes
+/// the upper one.
+void route(Seg& seg, std::vector<Seg>& stack, std::size_t m, std::size_t m_s,
+           Word med_star, Word* answers) {
+  auto& ranks = seg.ranks;
+  const auto it = std::lower_bound(
+      ranks.begin(), ranks.end(), m_s,
+      [](const RankRef& r, std::size_t d) { return r.d < d; });
+  const auto split = static_cast<std::size_t>(it - ranks.begin());
+  if (it != ranks.end() && it->d == m_s) {
+    answers[it->idx] = med_star;
+    ranks.erase(it);
+  }
+  for (std::size_t j = split; j < ranks.size(); ++j) ranks[j].d -= m_s;
+  if (split > 0 && split < ranks.size()) {
+    Seg lower;
+    lower.cands.reserve(seg.cands.size());
+    for (Word w : seg.cands) {
+      if (w < med_star) lower.cands.push_back(w);
+    }
+    lower.ranks.assign(ranks.begin() + static_cast<std::ptrdiff_t>(split),
+                       ranks.end());
+    lower.m_known = m - m_s;
+    stack.push_back(std::move(lower));
+    ranks.resize(split);
+  }
+  if (split > 0) {
+    std::erase_if(seg.cands, [med_star](Word w) { return w <= med_star; });
+    seg.m_known = m_s - 1;
+  } else if (!ranks.empty()) {
+    std::erase_if(seg.cands, [med_star](Word w) { return w >= med_star; });
+    seg.m_known = m - m_s;
+  }
+}
+
+/// The Section 8 program at processor i. `answers` is this processor's row
+/// of the unique-rank answer array; P_1 also records the filtering phases
+/// and their candidate counts in `out`.
+ProcMain selection_program(Proc& self, const SelCtx& ctx,
+                           const std::vector<Word>& input, Word* answers,
+                           MultiSelectionResult& out) {
   const std::size_t i = self.id();
   util::Xoshiro256StarStar rng(0x5e1ec7 + i);
-  std::size_t phases = 0;
-
-  // A segment is a value window of the input plus the ranks that fall in
-  // it. `cands` is this processor's local slice; `ranks` and `m_known` are
-  // identical at every processor, so the queue discipline below — continue
-  // the upper half in place, stack the lower half — is in global lockstep.
-  struct Seg {
-    std::vector<Word> cands;
-    std::vector<RankRef> ranks;  ///< ascending by d (splits preserve this)
-    std::size_t m_known = 0;     ///< network-wide candidate count
-  };
 
   // Census: every processor must know the initial candidate count. The span
   // scope must close in the same resumption in which the next mark_phase
   // fires, so span and phase agree on their boundary stamps exactly.
   if (i == 0) self.mark_phase("setup");
-  std::size_t n_total = 0;
+  Seg seg{input, ctx.ranks, 0};
   {
     obs::Span sp(self, "setup");
     const auto init = co_await partial_sums(
         self, static_cast<Word>(input.size()), SumOp::add(),
         {.with_total = true});
-    n_total = static_cast<std::size_t>(init.total);
+    seg.m_known = static_cast<std::size_t>(init.total);
   }
+  // Lower windows wait here, empty until the first split. Continuing the
+  // upper window in place and popping the lower ones in LIFO order is the
+  // same queue discipline at every processor, in global lockstep.
+  std::vector<Seg> stack;
 
-  std::vector<Seg> stack(1);
-  stack[0].cands = input;
-  stack[0].ranks.reserve(ctx.uds.size());
-  for (std::size_t idx = 0; idx < ctx.uds.size(); ++idx) {
-    stack[0].ranks.push_back(RankRef{ctx.uds[idx], idx});
-  }
-  stack[0].m_known = n_total;
-
-  while (!stack.empty()) {
-    Seg seg = std::move(stack.back());
-    stack.pop_back();
-
-    // --- filtering phases (Section 8, batched) ---------------------------
+  for (;;) {
+    // --- filtering phases --------------------------------------------------
     while (!seg.ranks.empty() && seg.m_known > ctx.threshold) {
-      if (i == 0) self.mark_phase("filter");
+      if (i == 0) {
+        self.mark_phase("filter");
+        ++out.filter_phases;
+        out.candidates_per_phase.push_back(seg.m_known);
+      }
       obs::Span sp(self, "filter");
-      ++phases;
 
       // 1. local medians; empty processors contribute the dummy pair,
       //    which sorts to the very end and carries count 0.
@@ -106,92 +174,57 @@ ProcMain multi_selection_program(Proc& self, const MultiSelCtx& ctx,
           bc.heard(co_await self.cycle(bc.write(), bc.read()));
 
       // 4. count candidates >= med_star network-wide.
-      Word ge_local = 0;
-      for (Word w : seg.cands) {
-        if (w >= med_star) ++ge_local;
-      }
-      const auto gs = co_await partial_sums(self, ge_local, SumOp::add(),
-                                            {.with_total = true});
+      const auto gs = co_await partial_sums(
+          self, count_at_least(seg.cands, med_star), SumOp::add(),
+          {.with_total = true});
       const auto m_s = static_cast<std::size_t>(gs.total);
 
-      // 5. route every rank: exactly m_s → answered here; below m_s → the
-      //    window above med_star (m_s - 1 candidates); above m_s → the
-      //    window below it (m - m_s candidates, ranks shifted by m_s).
-      std::vector<RankRef> high, low;
-      for (const RankRef& r : seg.ranks) {
-        if (r.d == m_s) {
-          answers[r.idx] = med_star;
-        } else if (r.d < m_s) {
-          high.push_back(r);
-        } else {
-          low.push_back(RankRef{r.d - m_s, r.idx});
-        }
-      }
-
-      if (!high.empty() && !low.empty()) {
-        // The batch straddles the weighted median: split. The lower window
-        // waits on the stack; filtering continues in the upper one.
-        Seg lower;
-        lower.cands.reserve(seg.cands.size());
-        for (Word w : seg.cands) {
-          if (w < med_star) lower.cands.push_back(w);
-        }
-        lower.ranks = std::move(low);
-        lower.m_known = m - m_s;
-        stack.push_back(std::move(lower));
-        std::erase_if(seg.cands, [med_star](Word w) { return w <= med_star; });
-        seg.ranks = std::move(high);
-        seg.m_known = m_s - 1;
-      } else if (!high.empty()) {
-        std::erase_if(seg.cands, [med_star](Word w) { return w <= med_star; });
-        seg.ranks = std::move(high);
-        seg.m_known = m_s - 1;
-      } else if (!low.empty()) {
-        std::erase_if(seg.cands, [med_star](Word w) { return w >= med_star; });
-        seg.ranks = std::move(low);
-        seg.m_known = m - m_s;
-      } else {
-        seg.ranks.clear();  // every rank hit med_star's position exactly
-      }
+      // 5. route the ranks and purge.
+      route(seg, stack, m, m_s, med_star, answers);
     }
-    if (seg.ranks.empty()) continue;
 
     // --- termination: one collection answers the whole cluster -----------
     // Prefix offsets give every processor a write window on channel 0; P_1
     // appends its own survivors locally during its window and reads
     // everyone else's, then selects *all* of the segment's ranks from the
     // one pool and broadcasts them in rank order — |ranks| cycles total,
-    // where B separate runs would pay B full collections.
+    // where B separate runs would pay B full collections. The phase opens
+    // even when filtering answered every rank of the segment, so that a
+    // single rank's run always ends in a (possibly empty) termination phase.
     if (i == 0) self.mark_phase("terminate");
     obs::Span sp_term(self, "terminate");
-    const auto ps = co_await partial_sums(
-        self, static_cast<Word>(seg.cands.size()), SumOp::add(),
-        {.with_total = true});
-    Termination term(
-        i, seg.cands, ps, seg.ranks.size(),
-        [&self, &seg](std::vector<Word>& pool) {
-          self.note_aux(pool.size());
-          std::vector<Word> out;
-          out.reserve(seg.ranks.size());
-          for (const RankRef& r : seg.ranks) {
-            MCB_CHECK(r.d >= 1 && r.d <= pool.size(),
-                      "rank " << r.d << " of " << pool.size()
-                              << " survivors");
-            out.push_back(seq::kth_largest(pool, r.d));
-          }
-          return out;
-        });
-    while (term.next()) {
-      if (term.idle > 0) co_await self.skip(term.idle);
-      if (term.acts) {
-        term.consume(co_await self.cycle(std::move(term.write), term.read));
+    if (!seg.ranks.empty()) {
+      const auto ps = co_await partial_sums(
+          self, static_cast<Word>(seg.cands.size()), SumOp::add(),
+          {.with_total = true});
+      Termination term(
+          i, seg.cands, ps, seg.ranks.size(),
+          [&self, &seg](std::vector<Word>& pool) {
+            self.note_aux(pool.size());
+            std::vector<Word> picked;
+            picked.reserve(seg.ranks.size());
+            for (const RankRef& r : seg.ranks) {
+              MCB_CHECK(r.d >= 1 && r.d <= pool.size(),
+                        "rank " << r.d << " of " << pool.size()
+                                << " survivors");
+              picked.push_back(seq::kth_largest(pool, r.d));
+            }
+            return picked;
+          });
+      while (term.next()) {
+        if (term.idle > 0) co_await self.skip(term.idle);
+        if (term.acts) {
+          term.consume(co_await self.cycle(std::move(term.write), term.read));
+        }
+      }
+      for (std::size_t j = 0; j < seg.ranks.size(); ++j) {
+        answers[seg.ranks[j].idx] = term.answers()[j];
       }
     }
-    for (std::size_t j = 0; j < seg.ranks.size(); ++j) {
-      answers[seg.ranks[j].idx] = term.answers()[j];
-    }
+    if (stack.empty()) break;
+    seg = std::move(stack.back());
+    stack.pop_back();
   }
-  phases_out = phases;
 }
 
 }  // namespace
@@ -203,34 +236,38 @@ MultiSelectionResult select_ranks_on(
   MCB_REQUIRE(!ds.empty(), "at least one rank to select");
   validate_selection_inputs(cfg.p, inputs, ds);
 
-  MultiSelCtx ctx;
-  ctx.uds = ds;
-  std::sort(ctx.uds.begin(), ctx.uds.end());
-  ctx.uds.erase(std::unique(ctx.uds.begin(), ctx.uds.end()), ctx.uds.end());
+  std::vector<std::size_t> uds = ds;
+  std::sort(uds.begin(), uds.end());
+  uds.erase(std::unique(uds.begin(), uds.end()), uds.end());
+  SelCtx ctx;
+  for (std::size_t idx = 0; idx < uds.size(); ++idx) {
+    ctx.ranks.push_back(RankRef{uds[idx], idx});
+  }
   ctx.threshold = opts.threshold != 0
                       ? opts.threshold
                       : std::max<std::size_t>(cfg.p / cfg.k, 1);
   ctx.use_quickselect = opts.use_quickselect;
   ctx.pair_sort = EvenSortPlan::build(cfg.p, cfg.k, 1);
 
-  std::vector<std::vector<Word>> answers(cfg.p,
-                                         std::vector<Word>(ctx.uds.size(), 0));
-  std::vector<std::size_t> phases(cfg.p, 0);
-  for (ProcId i = 0; i < cfg.p; ++i) {
-    net.install(i, multi_selection_program(net.proc(i), ctx, inputs[i],
-                                           answers[i], phases[i]));
-  }
+  // Processor i's answers are row i of this p x B array.
+  const std::size_t b = uds.size();
+  std::vector<Word> answers(cfg.p * b, 0);
   MultiSelectionResult result;
+  for (ProcId i = 0; i < cfg.p; ++i) {
+    net.install(i, selection_program(net.proc(i), ctx, inputs[i],
+                                     answers.data() + i * b, result));
+  }
   result.stats = net.run();
-  result.filter_phases = phases[0];
   for (std::size_t i = 1; i < cfg.p; ++i) {
-    MCB_CHECK(answers[i] == answers[0], "P" << i + 1 << " disagrees");
+    MCB_CHECK(std::equal(answers.data(), answers.data() + b,
+                         answers.data() + i * b),
+              "P" << i + 1 << " disagrees");
   }
   result.values.reserve(ds.size());
   for (std::size_t d : ds) {
-    const auto it = std::lower_bound(ctx.uds.begin(), ctx.uds.end(), d);
+    const auto it = std::lower_bound(uds.begin(), uds.end(), d);
     result.values.push_back(
-        answers[0][static_cast<std::size_t>(it - ctx.uds.begin())]);
+        answers[static_cast<std::size_t>(it - uds.begin())]);
   }
   return result;
 }

@@ -1,14 +1,16 @@
 // Batched multi-rank selection: all of N[d_1], ..., N[d_B] in one run.
 //
-// The serving layer (src/serve/) coalesces compatible rank queries into a
-// single network run; this is the collective that answers them. It
-// generalizes the Section 8 filtering scheme the way Nowicki's "parallel
-// multiple selection" treats simultaneous ranks: the candidate set is
-// filtered as usual, but when the batch's ranks straddle the weighted
-// median the candidate set *splits* into an upper and a lower segment, each
-// carrying the ranks that fall inside it, and filtering continues per
-// segment. Ranks that land exactly on the weighted median are answered on
-// the spot.
+// This is the library's one Section 8 program: select_rank (selection.hpp)
+// is its B=1 case, and the serving layer (src/serve/) coalesces compatible
+// rank queries into a single batch. It generalizes the Section 8 filtering
+// scheme the way Nowicki's "parallel multiple selection" treats
+// simultaneous ranks: the candidate set is filtered as usual, but when the
+// batch's ranks straddle the weighted median the candidate set *splits*
+// into an upper and a lower segment, each carrying the ranks that fall
+// inside it, and filtering continues per segment. Ranks that land exactly
+// on the weighted median are answered on the spot. Every segment ends in a
+// "terminate" phase and span, empty (zero cycles, zero messages) when
+// filtering answered all of its ranks.
 //
 // Determinism/lockstep: every branching decision — which ranks resolve,
 // whether a segment splits, which segment is processed next — depends only
@@ -49,6 +51,9 @@ struct MultiSelectionResult {
   /// Filtering rounds executed across all segments (a shared round counts
   /// once; the single-rank equivalent of the batch would pay one per rank).
   std::size_t filter_phases = 0;
+  /// Candidates alive in its segment entering each filtering round, in the
+  /// order the rounds ran (SelectionResult::candidates_per_phase for B=1).
+  std::vector<std::size_t> candidates_per_phase;
   RunStats stats;
 };
 

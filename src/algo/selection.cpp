@@ -1,165 +1,21 @@
 #include "algo/selection.hpp"
 
-#include <algorithm>
+#include <utility>
 
-#include "algo/columnsort_even.hpp"
-#include "algo/common.hpp"
-#include "algo/partial_sums.hpp"
-#include "algo/selection_core.hpp"
-#include "mcb/network.hpp"
-#include "obs/span.hpp"
-#include "seq/selection.hpp"
-#include "util/check.hpp"
-#include "util/random.hpp"
+#include "algo/multi_select.hpp"
 
 namespace mcb::algo {
-namespace {
-
-struct SelCtx {
-  std::size_t threshold = 0;
-  std::size_t d = 0;
-  bool use_quickselect = false;
-  EvenSortPlan pair_sort;  ///< one (median, count) pair per processor
-};
-
-ProcMain selection_program(Proc& self, const SelCtx& ctx,
-                           const std::vector<Word>& input, Word& answer,
-                           std::size_t& phases_out,
-                           std::vector<std::size_t>& phase_candidates) {
-  const std::size_t i = self.id();
-  util::Xoshiro256StarStar rng(0x5e1ec7 + i);
-
-  std::vector<Word> cands = input;
-  std::size_t d = ctx.d;  // rank within the remaining candidates
-  std::size_t phases = 0;
-  bool done = false;
-
-  // Learn the initial candidate count (every processor must know whether
-  // filtering is needed at all). The span scope must close in the same
-  // resumption in which the next mark_phase fires, so that the span and
-  // the phase agree on their (cycle, messages) boundary stamps exactly.
-  if (i == 0) self.mark_phase("setup");
-  std::size_t m_known = 0;
-  {
-    obs::Span sp(self, "setup");
-    const auto init = co_await partial_sums(
-        self, static_cast<Word>(cands.size()), SumOp::add(),
-        {.with_total = true});
-    m_known = static_cast<std::size_t>(init.total);
-  }
-
-  // --- filtering phases ----------------------------------------------------
-  while (!done && m_known > ctx.threshold) {
-    if (i == 0) self.mark_phase("filter");
-    obs::Span sp(self, "filter");
-    ++phases;
-    phase_candidates.push_back(m_known);
-
-    // 1. local medians; empty processors contribute the dummy pair, which
-    //    sorts to the very end and carries count 0.
-    std::vector<KV> pair(1);
-    pair[0] = cands.empty()
-                  ? KV{kDummy, 0}
-                  : KV{local_median(cands, ctx.use_quickselect, rng),
-                       static_cast<Word>(cands.size())};
-
-    // 2. sort the pairs descending by median.
-    co_await columnsort_even_collective(self, ctx.pair_sort, pair);
-
-    // 3. prefix counts over the sorted order; locate the weighted median.
-    const auto ps = co_await partial_sums(self, pair[0].val, SumOp::add(),
-                                          {.with_total = true});
-    const auto m = static_cast<std::size_t>(ps.total);
-    MCB_CHECK(m == m_known, "candidate count drifted: " << m << " vs "
-                                                        << m_known);
-    const std::size_t half = (m + 1) / 2;  // ceil(m/2)
-    const bool am_star = static_cast<std::size_t>(ps.before) < half &&
-                         half <= static_cast<std::size_t>(ps.self);
-    const MedianBroadcast bc{am_star, pair[0].key};
-    const Word med_star = bc.heard(co_await self.cycle(bc.write(), bc.read()));
-
-    // 4. count candidates >= med_star network-wide.
-    Word ge_local = 0;
-    for (Word w : cands) {
-      if (w >= med_star) ++ge_local;
-    }
-    const auto gs = co_await partial_sums(self, ge_local, SumOp::add(),
-                                          {.with_total = true});
-    const auto m_s = static_cast<std::size_t>(gs.total);
-
-    if (m_s == d) {  // case 1: found it
-      answer = med_star;
-      done = true;
-    } else if (m_s > d) {  // case 2: answer is above med_star
-      std::erase_if(cands, [med_star](Word w) { return w <= med_star; });
-      m_known = m_s - 1;
-    } else {  // case 3: answer is below med_star
-      std::erase_if(cands, [med_star](Word w) { return w >= med_star; });
-      d -= m_s;
-      m_known = m - m_s;
-    }
-  }
-  phases_out = phases;
-
-  // --- termination phase ----------------------------------------------------
-  if (i == 0) self.mark_phase("terminate");
-  obs::Span sp_term(self, "terminate");
-  if (!done) {
-    // Prefix offsets give every processor a write window on channel 0;
-    // P_1 appends its own survivors locally during its window and reads
-    // everyone else's, then selects and broadcasts the answer.
-    const auto ps = co_await partial_sums(
-        self, static_cast<Word>(cands.size()), SumOp::add(),
-        {.with_total = true});
-    const auto m = static_cast<std::size_t>(ps.total);
-    MCB_CHECK(d >= 1 && d <= m, "rank " << d << " of " << m << " survivors");
-    Termination term(i, cands, ps, 1, [&self, d](std::vector<Word>& pool) {
-      self.note_aux(pool.size());
-      return std::vector<Word>{seq::kth_largest(pool, d)};
-    });
-    while (term.next()) {
-      if (term.idle > 0) co_await self.skip(term.idle);
-      if (term.acts) {
-        term.consume(co_await self.cycle(std::move(term.write), term.read));
-      }
-    }
-    answer = term.answers()[0];
-  }
-}
-
-}  // namespace
 
 SelectionResult select_rank(const SimConfig& cfg,
                             const std::vector<std::vector<Word>>& inputs,
                             std::size_t d, SelectionOptions opts,
                             TraceSink* sink) {
-  cfg.validate();
-  validate_selection_inputs(cfg.p, inputs, {&d, 1});
-
-  SelCtx ctx;
-  ctx.d = d;
-  ctx.threshold = opts.threshold != 0
-                      ? opts.threshold
-                      : std::max<std::size_t>(cfg.p / cfg.k, 1);
-  ctx.use_quickselect = opts.use_quickselect;
-  ctx.pair_sort = EvenSortPlan::build(cfg.p, cfg.k, 1);
-
-  std::vector<Word> answers(cfg.p, 0);
-  std::vector<std::size_t> phases(cfg.p, 0);
-  std::vector<std::vector<std::size_t>> cand_traces(cfg.p);
-  Network net(cfg, sink);
-  for (ProcId i = 0; i < cfg.p; ++i) {
-    net.install(i, selection_program(net.proc(i), ctx, inputs[i], answers[i],
-                                     phases[i], cand_traces[i]));
-  }
+  auto batch = select_ranks(cfg, inputs, {d}, opts, sink);
   SelectionResult result;
-  result.stats = net.run();
-  result.value = answers[0];
-  result.filter_phases = phases[0];
-  result.candidates_per_phase = std::move(cand_traces[0]);
-  for (std::size_t i = 1; i < cfg.p; ++i) {
-    MCB_CHECK(answers[i] == answers[0], "P" << i + 1 << " disagrees");
-  }
+  result.value = batch.values[0];
+  result.filter_phases = batch.filter_phases;
+  result.candidates_per_phase = std::move(batch.candidates_per_phase);
+  result.stats = std::move(batch.stats);
   return result;
 }
 

@@ -24,6 +24,10 @@
 // Complexity: O((p/k) log(kn/p)) cycles and O(p log(kn/p)) messages, tight
 // by Corollary 7 for d = Theta(n) and p >= k^2.
 //
+// select_rank is the one-rank case of the batched program select_ranks
+// (multi_select.hpp): with B=1 the batch never splits, and its run is this
+// filter step for step.
+//
 // The paper assumes distinct elements w.l.o.g.; this implementation
 // requires them (callers can lexicographically extend values as in
 // Section 3 if needed).

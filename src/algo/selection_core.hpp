@@ -1,7 +1,7 @@
-// Pieces shared by the two selection programs of Section 8: the single-rank
-// filter (selection.cpp) and its batched form (multi_select.cpp).
+// Pieces of the Section 8 selection program (multi_select.cpp, which
+// select_rank runs as its one-rank case).
 //
-// Both programs await each of their channel schedules at one act site: the
+// The program awaits each of its channel schedules at one act site: the
 // weighted-median broadcast is one cycle() whose write and read depend on
 // the processor, and the termination phase is a walk whose acts a single
 // skip + cycle site carries out. GCC 12 gives every co_await temporary of a

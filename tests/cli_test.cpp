@@ -236,6 +236,22 @@ TEST(McbsimJsonTest, ParallelEngineIsUsageError) {
   }
 }
 
+TEST(McbsimJsonTest, HelpPrintsUsageAndRunsNothing) {
+  if (mcbsim_bin() == nullptr) GTEST_SKIP() << "MCBSIM_BIN not set";
+  // Regression: `sort --help` ran a default sort, then warned that --help
+  // was an unused flag. Help must print the usage text and exit 0 before
+  // any network is built, whatever other flags come with it.
+  for (const char* flags :
+       {" sort --help", " select --help", " serve --help", " select -h",
+        " select --p 16 --k 4 --n 1024 --help", " serve --queries 8 -h"}) {
+    const auto out =
+        run_command(std::string(mcbsim_bin()) + flags + " 2>&1");
+    EXPECT_EQ(out.rfind("usage: mcbsim", 0), 0u) << flags << "\n" << out;
+    EXPECT_EQ(out.find("warning"), std::string::npos) << flags << "\n" << out;
+    EXPECT_EQ(out.find("TOTAL"), std::string::npos) << flags << "\n" << out;
+  }
+}
+
 TEST(McbsimJsonTest, NegativeValuesInUintListsAreUsageErrors) {
   if (mcbsim_bin() == nullptr) GTEST_SKIP() << "MCBSIM_BIN not set";
   // Regression: parse_uint_list fed "-5" to std::stoull, which happily

@@ -7,9 +7,11 @@
 // grid pins both.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -18,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "algo/multi_select.hpp"
 #include "algo/selection.hpp"
 #include "algo/sort.hpp"
 #include "check/conformance.hpp"
@@ -49,19 +52,68 @@ struct Instrumented {
       : timeline(k, max_buckets) {}
 };
 
-/// Runs one algorithm with the full telemetry stack attached: recorder via
+/// One program of the grid: a sort algorithm, or selection. Sorts name
+/// their algorithm explicitly, so kAuto is free to stand in for selection:
+/// select_median, or with `batch` select_ranks over a batch that splits in
+/// the first filtering phase and has one rank answered there exactly.
+struct Program {
+  Program(SortAlgorithm a, bool b = false) : algorithm(a), batch(b) {}
+  SortAlgorithm algorithm;
+  bool batch;
+};
+
+const char* to_string(const Program& g) {
+  return g.batch ? "select_ranks" : algo::to_string(g.algorithm);
+}
+
+/// The rank that the first filtering phase of Section 8 answers exactly:
+/// the weighted median of the local medians is the m_s-th largest element,
+/// where m_s counts the elements at or above it.
+std::size_t first_hit_rank(const std::vector<std::vector<Word>>& inputs) {
+  std::vector<std::pair<Word, std::size_t>> pairs;  // (local median, count)
+  std::size_t n = 0;
+  for (auto in : inputs) {
+    std::sort(in.begin(), in.end(), std::greater<Word>{});
+    pairs.emplace_back(in[(in.size() + 1) / 2 - 1], in.size());
+    n += in.size();
+  }
+  std::sort(pairs.begin(), pairs.end(), std::greater<>{});
+  std::size_t before = 0;
+  Word med_star = 0;
+  for (const auto& [median, count] : pairs) {
+    med_star = median;
+    if (before + count >= (n + 1) / 2) break;
+    before += count;
+  }
+  std::size_t m_s = 0;
+  for (const auto& in : inputs) {
+    for (Word w : in) m_s += w >= med_star ? 1 : 0;
+  }
+  return m_s;
+}
+
+/// Runs one program with the full telemetry stack attached: recorder via
 /// SimConfig::span_sink, timeline chained behind a conformance checker (the
 /// same tee-free chaining mcbsim uses).
 void run_instrumented(Instrumented& out, SimConfig cfg,
                       const std::vector<std::vector<Word>>& inputs,
-                      SortAlgorithm algorithm) {
+                      Program program) {
   cfg.span_sink = &out.recorder;
   check::ConformanceChecker checker(cfg, &out.timeline);
-  if (algorithm == SortAlgorithm::kAuto) {
+  if (program.batch) {
+    std::size_t n = 0;
+    for (const auto& in : inputs) n += in.size();
+    const std::size_t hit = first_hit_rank(inputs);
+    ASSERT_LT(1u, hit);
+    ASSERT_LT(hit, n);
+    auto res = algo::select_ranks(cfg, inputs, {1, hit, n}, {}, &checker);
+    out.stats = res.stats;
+  } else if (program.algorithm == SortAlgorithm::kAuto) {
     auto res = algo::select_median(cfg, inputs, {}, &checker);
     out.stats = res.stats;
   } else {
-    auto res = algo::sort(cfg, inputs, {.algorithm = algorithm}, &checker);
+    auto res = algo::sort(cfg, inputs, {.algorithm = program.algorithm},
+                          &checker);
     out.stats = res.run.stats;
   }
   const auto& rep = checker.finish(out.stats);
@@ -70,13 +122,16 @@ void run_instrumented(Instrumented& out, SimConfig cfg,
   out.timeline.finalize(out.stats.cycles);
 }
 
-// kAuto stands in for "selection" in the grid below (sorts name their
-// algorithm explicitly, so kAuto is free to repurpose).
-const SortAlgorithm kGrid[] = {
-    SortAlgorithm::kAuto,          SortAlgorithm::kColumnsortEven,
-    SortAlgorithm::kVirtualColumnsort, SortAlgorithm::kRecursive,
-    SortAlgorithm::kUnevenColumnsort,  SortAlgorithm::kRankSort,
-    SortAlgorithm::kMergeSort,     SortAlgorithm::kCentral,
+const Program kGrid[] = {
+    SortAlgorithm::kAuto,
+    {SortAlgorithm::kAuto, true},
+    SortAlgorithm::kColumnsortEven,
+    SortAlgorithm::kVirtualColumnsort,
+    SortAlgorithm::kRecursive,
+    SortAlgorithm::kUnevenColumnsort,
+    SortAlgorithm::kRankSort,
+    SortAlgorithm::kMergeSort,
+    SortAlgorithm::kCentral,
 };
 
 // --- spans reconcile across the whole grid, on both engines -----------------

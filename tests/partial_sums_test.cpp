@@ -7,13 +7,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "algo/partial_sums.hpp"
 #include "algo/runner.hpp"
 #include "mcb/trace.hpp"
+#include "trace_digest.hpp"
 #include "util/random.hpp"
 
 namespace mcb::algo {
@@ -170,62 +169,8 @@ TEST(PartialSumsTest, FrameFitsSharedClass) {
 }
 
 // --- schedule pin ------------------------------------------------------------
-// The equivalence grids only compare the engines to each other, so a change
-// made identically in both would slip through them. This grid pins the exact
-// schedule instead: cycles, messages, resumes, auxiliary words and an FNV-1a
-// digest of every trace event, span mark and result, hard-coded from a known
-// good build. A rewrite of the collective must reproduce all of them.
-
-/// FNV-1a over 64-bit words, byte by byte (little end first).
-class Fnv1a {
- public:
-  void add(std::uint64_t w) {
-    for (int b = 0; b < 8; ++b) {
-      h_ ^= (w >> (8 * b)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void add(const std::optional<Message>& m) {
-    add(m.has_value());
-    if (!m) return;
-    add(m->size());
-    for (std::size_t w = 0; w < m->size(); ++w) {
-      add(static_cast<std::uint64_t>((*m)[w]));
-    }
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
-/// Hashes the cycle-by-cycle event stream and the span marks as they
-/// arrive, so the digest covers the order the engine produced them in.
-class DigestSink final : public TraceSink, public SpanSink {
- public:
-  void on_event(const CycleEvent& ev) override {
-    fnv.add(ev.cycle);
-    fnv.add(ev.proc);
-    fnv.add(ev.wrote.has_value());
-    fnv.add(ev.wrote.value_or(0));
-    fnv.add(ev.sent);
-    fnv.add(ev.read.has_value());
-    fnv.add(ev.read.value_or(0));
-    fnv.add(ev.received);
-  }
-  void on_span_begin(std::string_view name, Cycle cycle,
-                     std::uint64_t messages) override {
-    for (char c : name) fnv.add(static_cast<std::uint64_t>(c));
-    fnv.add(cycle);
-    fnv.add(messages);
-  }
-  void on_span_end(Cycle cycle, std::uint64_t messages) override {
-    fnv.add(cycle);
-    fnv.add(messages);
-  }
-
-  Fnv1a fnv;
-};
+// Hard-coded from a known good build (trace_digest.hpp); the digest also
+// covers every result.
 
 struct PinCase {
   std::size_t p, k;

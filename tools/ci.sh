@@ -221,6 +221,31 @@ done
 cmp build-release/longskip_event.stripped.json \
   build-release/longskip_reference.stripped.json
 
+# Selection smoke: select_rank runs as the one-rank case of the batched
+# Section 8 program that serve drives, so the same program is held to the
+# cross-engine contract through both entry points, with phases, spans and
+# the conformance checker attached. The select run (p=8, k=4, n=256, seed 3)
+# answers its rank in filtering and ends in an empty termination phase.
+# --help must print the usage text without running anything.
+echo "=== [release] selection cross-engine smoke ==="
+for engine in event reference; do
+  ./build-release/tools/mcbsim select --p 8 --k 4 --n 256 --seed 3 --json \
+    --obs --check --engine "$engine" > "build-release/select_$engine.json"
+  ./build-release/tools/mcbsim strip-host "build-release/select_$engine.json" \
+    | sed 's/"engine":"reference"/"engine":"event"/' \
+    > "build-release/select_$engine.stripped.json"
+  ./build-release/tools/mcbsim serve --p 16 --k 4 --n 1024 --queries 48 \
+    --batch 8 --seed 7 --obs --json --verify --engine "$engine" \
+    > "build-release/serve_obs_$engine.json"
+  ./build-release/tools/mcbsim strip-host "build-release/serve_obs_$engine.json" \
+    > "build-release/serve_obs_$engine.stripped.json"
+done
+cmp build-release/select_event.stripped.json \
+  build-release/select_reference.stripped.json
+cmp build-release/serve_obs_event.stripped.json \
+  build-release/serve_obs_reference.stripped.json
+./build-release/tools/mcbsim select --help | grep '^usage: mcbsim' > /dev/null
+
 # Static-analysis wall, as soon as a build tree exists. lint.sh exits 0
 # clean / 1 findings / 3 tool-missing-warn: findings fail CI, 3 means every
 # check that ran is clean but a tool was unavailable here — the same

@@ -29,6 +29,8 @@
 //                       (implies --obs); load it in ui.perfetto.dev
 //   --obs-buckets N     timeline resolution (default 256 buckets)
 //
+// --help or -h anywhere prints the usage text (exit 0) and runs nothing.
+//
 // Exit code 0 on success; 2 on usage errors; 1 on conformance violations or
 // failed trials; `gates` exits 1 on a failed enforced gate and 3 when
 // unenforced gates are present (tools/ci.sh turns 3 into a loud WARNING).
@@ -757,8 +759,10 @@ int cmd_sweep(const util::Cli& cli) {
   return failed == 0 ? 0 : 1;
 }
 
-int usage() {
-  std::cerr <<
+/// Prints the usage text: to stdout with exit 0 when asked for with
+/// --help, to stderr with the usage-error exit 2 otherwise.
+int usage(bool asked = false) {
+  (asked ? std::cout : std::cerr) <<
       "usage: mcbsim <sort|select|serve|psum|trace|bounds|sweep|gates|"
       "report|strip-host> [--flags]\n"
       "  sort    --p --k --n [--shape] [--seed] [--algorithm] [--engine]"
@@ -797,14 +801,19 @@ int usage() {
       "--obs collects phase spans and a per-channel timeline; --trace-out\n"
       "writes a Chrome trace-event / Perfetto JSON trace (implies --obs).\n"
       "--profile attaches the host-time profiler: run count and run wall\n"
-      "time, quarantined under \"host_profile\" (strip-host removes it).\n";
-  return 2;
+      "time, quarantined under \"host_profile\" (strip-host removes it).\n"
+      "--help (or -h) on any subcommand prints this text and runs nothing.\n";
+  return asked ? 0 : 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
+    for (int a = 1; a < argc; ++a) {
+      const std::string arg = argv[a];
+      if (arg == "--help" || arg == "-h") return usage(true);
+    }
     // `gates` and `report` take a positional file path, which the flag
     // grammar of util::Cli does not cover — dispatch them before Cli::parse.
     if (argc >= 2 && std::string(argv[1]) == "gates") {
