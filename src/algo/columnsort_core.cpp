@@ -1,5 +1,8 @@
 #include "algo/columnsort_core.hpp"
 
+#include <algorithm>
+#include <span>
+
 #include "obs/span.hpp"
 #include "seq/columnsort.hpp"
 #include "seq/sorting.hpp"
@@ -62,26 +65,34 @@ Task<void> run_transform(Proc& self, const CorePlan& plan, std::size_t t,
   }
   self.note_aux(2 * m);
 
+  // Each round sends the next element queued for its destination column
+  // and takes the element arriving from its source column; a burst carries
+  // kBurstActs rounds.
   std::vector<std::size_t> ptr(plan.kk, 0);
-  for (std::size_t round = 0; round < rounds.cycles(); ++round) {
-    std::optional<WriteOp> write;
-    std::optional<ChannelId> read;
-    const auto dc = rounds.dst_of(round, my_col);
-    if (dc != sched::kIdle) {
-      MCB_CHECK(ptr[dc] < queue[dc].size(),
-                "send queue " << my_col << "->" << dc << " exhausted");
-      const std::size_t r = queue[dc][ptr[dc]++];
-      const std::size_t dst = table[my_col * m + r];
-      write = WriteOp{static_cast<ChannelId>(my_col),
-                      Message::of(column[r].key, column[r].val,
-                                  static_cast<Word>(dst % m))};
+  const std::size_t cycles = rounds.cycles();
+  for (std::size_t round = 0; round < cycles; round += kBurstActs) {
+    const std::span<Act> acts =
+        self.burst_acts(std::min(kBurstActs, cycles - round));
+    for (std::size_t a = 0; a < acts.size(); ++a) {
+      const auto dc = rounds.dst_of(round + a, my_col);
+      if (dc != sched::kIdle) {
+        MCB_CHECK(ptr[dc] < queue[dc].size(),
+                  "send queue " << my_col << "->" << dc << " exhausted");
+        const std::size_t r = queue[dc][ptr[dc]++];
+        acts[a].write = static_cast<ChannelId>(my_col);
+        acts[a].msg = Message::of(column[r].key, column[r].val,
+                                  static_cast<Word>(table[my_col * m + r] % m));
+      }
+      const auto sc = rounds.src_of(round + a, my_col);
+      if (sc != sched::kIdle) acts[a].read = static_cast<ChannelId>(sc);
     }
-    const auto sc = rounds.src_of(round, my_col);
-    if (sc != sched::kIdle) read = static_cast<ChannelId>(sc);
-    auto got = co_await self.cycle(std::move(write), read);
-    if (sc != sched::kIdle) {
-      MCB_CHECK(got.has_value(), "missing transfer on channel " << sc);
-      next[static_cast<std::size_t>(got->at(2))] = KV{got->at(0), got->at(1)};
+    const std::span<const Proc::ReadResult> got = co_await self.burst();
+    for (std::size_t a = 0; a < got.size(); ++a) {
+      const auto sc = rounds.src_of(round + a, my_col);
+      if (sc == sched::kIdle) continue;
+      MCB_CHECK(got[a].has_value(), "missing transfer on channel " << sc);
+      next[static_cast<std::size_t>(got[a]->at(2))] =
+          KV{got[a]->at(0), got[a]->at(1)};
     }
   }
   column.swap(next);
@@ -142,85 +153,100 @@ Task<void> core_skip(Proc& self, const CorePlan& plan) {
   if (plan.core_cycles > 0) co_await self.skip(plan.core_cycles);
 }
 
-Task<void> redistribute(Proc& self, const CorePlan& plan, bool is_rep,
-                        std::size_t my_col, const std::vector<KV>& column,
-                        std::size_t n, std::size_t lo, std::size_t hi,
-                        std::vector<KV>& output) {
+namespace {
+
+bool in_window(std::size_t t, std::size_t lo, std::size_t hi) {
+  return t >= lo && t < hi;
+}
+
+}  // namespace
+
+std::size_t KvPassWalker::skip_idle() {
+  const KvPass& ps = pass_;
+  if (in_window(t_, ps.w0, ps.w1) || in_window(t_, ps.r0, ps.r1)) return 0;
+  std::size_t next = ps.cycles;
+  if (t_ < ps.w0 && ps.w0 < ps.w1) next = std::min(next, ps.w0);
+  if (t_ < ps.r0 && ps.r0 < ps.r1) next = std::min(next, ps.r0);
+  const std::size_t idle = next - t_;
+  t_ = next;
+  return idle;
+}
+
+void KvPassWalker::plan(Proc& self) const {
+  const KvPass& ps = pass_;
+  // The run of acts from t_: the write and read windows join where they
+  // meet.
+  std::size_t end = t_;
+  while (in_window(end, ps.w0, ps.w1) || in_window(end, ps.r0, ps.r1)) {
+    end = in_window(end, ps.w0, ps.w1) ? ps.w1 : ps.r1;
+  }
+  const std::span<Act> acts = self.burst_acts(std::min(kBurstActs, end - t_));
+  for (std::size_t a = 0; a < acts.size(); ++a) {
+    const std::size_t t = t_ + a;
+    if (in_window(t, ps.w0, ps.w1)) {
+      acts[a].write = ps.wch;
+      acts[a].msg =
+          ps.keys_only
+              ? Message::of(ps.send_keys[t - ps.w0])
+              : Message::of(ps.send[t - ps.w0].key, ps.send[t - ps.w0].val);
+    }
+    if (in_window(t, ps.r0, ps.r1)) acts[a].read = ps.rch;
+  }
+}
+
+void KvPassWalker::take(std::span<const Proc::ReadResult> got) {
+  for (const Proc::ReadResult& r : got) {
+    if (in_window(t_, pass_.r0, pass_.r1)) {
+      MCB_CHECK(r.has_value(), "broadcast slot empty in cycle "
+                                   << t_ << " of a pass on channel "
+                                   << pass_.rch);
+      pass_.recv[t_ - pass_.r0] =
+          KV{r->at(0), pass_.keys_only ? Word{0} : r->at(1)};
+    }
+    ++t_;
+  }
+}
+
+KvPass redistribute_pass(const CorePlan& plan, bool is_rep,
+                         std::size_t my_col, const std::vector<KV>& column,
+                         std::size_t n, std::size_t lo, std::size_t hi,
+                         std::vector<KV>& output, int pass) {
   const std::size_t m = plan.m;
-  MCB_CHECK(hi >= lo && hi <= n, "segment [" << lo << "," << hi << ") of "
-                                             << n);
-  MCB_CHECK(hi - lo <= m, "segment longer than a column");
-  output.assign(hi - lo, KV{});
+  if (pass == 0) {
+    MCB_CHECK(hi >= lo && hi <= n, "segment [" << lo << "," << hi << ") of "
+                                               << n);
+    MCB_CHECK(hi - lo <= m, "segment longer than a column");
+    output.assign(hi - lo, KV{});
+  }
+  KvPass out;
+  out.cycles = m;
   // Real (non-dummy) elements in this representative's final column: the
   // dummies are the global minimum, so reals occupy ranks [0, n) and column
-  // c holds ranks [c*m, c*m + m).
-  const std::size_t real_here =
-      is_rep ? std::min(m, n > my_col * m ? n - my_col * m : std::size_t{0})
-             : 0;
-  for (int pass = 0; pass < 2; ++pass) {
-    // A contiguous segment of <= m ranks spans at most two consecutive
-    // columns; collect the first in pass 0, the second in pass 1.
-    const std::size_t want_col =
-        hi == lo ? SIZE_MAX : (pass == 0 ? lo / m : (hi - 1) / m);
-    // This processor's read window within the pass: the in-column slots t
-    // whose rank want_col*m + t falls in [lo, hi). Contiguous by
-    // construction, and empty when want_col is SIZE_MAX.
-    std::size_t t_read0 = m, t_read1 = m;
-    if (want_col != SIZE_MAX) {
-      const std::size_t col_lo = want_col * m;
-      t_read0 = lo > col_lo ? lo - col_lo : 0;
-      t_read1 = hi > col_lo ? std::min(m, hi - col_lo) : 0;
-      if (t_read1 < t_read0) t_read1 = t_read0;
-    }
-    if (!is_rep) {
-      // Non-representatives only read; sleep through the rest of the pass
-      // (observationally identical to idle cycles: no intent either way).
-      if (t_read0 > 0) co_await self.skip(t_read0);
-      for (std::size_t t = t_read0; t < t_read1; ++t) {
-        auto got = co_await self.read(static_cast<ChannelId>(want_col));
-        MCB_CHECK(got.has_value(), "redistribute slot empty (rank "
-                                       << want_col * m + t << ")");
-        output[want_col * m + t - lo] = KV{got->at(0), got->at(1)};
-      }
-      if (t_read1 < m) co_await self.skip(m - t_read1);
-      continue;
-    }
-    if (want_col == my_col) {
-      // Own column: take the segment locally, no channel reads needed.
-      for (std::size_t t = t_read0; t < t_read1; ++t) {
-        output[want_col * m + t - lo] = column[t];
-      }
-      t_read0 = t_read1 = m;
-    }
-    // A representative's action cycles are the write prefix [0, real_here)
-    // plus the (possibly overlapping) read window; sleep through the gap
-    // between them and the idle tail of the pass.
-    std::size_t t = 0;
-    while (t < m) {
-      const bool writing = t < real_here;
-      const bool reading = t >= t_read0 && t < t_read1;
-      if (!writing && !reading) {
-        const std::size_t next_act = t < t_read0 ? t_read0 : m;
-        co_await self.skip(next_act - t);
-        t = next_act;
-        continue;
-      }
-      std::optional<WriteOp> write;
-      std::optional<ChannelId> read;
-      if (writing) {
-        write = WriteOp{static_cast<ChannelId>(my_col),
-                        Message::of(column[t].key, column[t].val)};
-      }
-      if (reading) read = static_cast<ChannelId>(want_col);
-      auto got = co_await self.cycle(std::move(write), read);
-      if (reading) {
-        MCB_CHECK(got.has_value(), "redistribute slot empty (rank "
-                                       << want_col * m + t << ")");
-        output[want_col * m + t - lo] = KV{got->at(0), got->at(1)};
-      }
-      ++t;
-    }
+  // c holds ranks [c*m, c*m + m). Every pass broadcasts them.
+  if (is_rep) {
+    out.w1 = std::min(m, n > my_col * m ? n - my_col * m : std::size_t{0});
+    out.send = column.data();
+    out.wch = static_cast<ChannelId>(my_col);
   }
+  // A contiguous segment of <= m ranks spans at most two consecutive
+  // columns; collect the first in pass 0, the second in pass 1, in the
+  // in-column slots t whose rank want_col*m + t falls in [lo, hi).
+  if (hi == lo) return out;
+  const std::size_t want_col = pass == 0 ? lo / m : (hi - 1) / m;
+  const std::size_t col_lo = want_col * m;
+  const std::size_t t0 = lo > col_lo ? lo - col_lo : 0;
+  const std::size_t t1 = std::max(t0, hi > col_lo ? std::min(m, hi - col_lo)
+                                                  : std::size_t{0});
+  if (is_rep && want_col == my_col) {
+    // Own column: take the segment locally, no channel reads needed.
+    for (std::size_t t = t0; t < t1; ++t) output[col_lo + t - lo] = column[t];
+    return out;
+  }
+  out.r0 = t0;
+  out.r1 = t1;
+  out.recv = output.data() + (col_lo + t0 - lo);
+  out.rch = static_cast<ChannelId>(want_col);
+  return out;
 }
 
 }  // namespace mcb::algo::detail

@@ -37,6 +37,34 @@ EvenSortPlan EvenSortPlan::build(std::size_t p, std::size_t k, std::size_t ni,
   return plan;
 }
 
+namespace {
+
+/// Phase 0 for processor i: member idx of a group writes its elements in
+/// cycles [idx*ni, (idx+1)*ni), and the representative reads every one of
+/// them into `column`, which is sized here.
+detail::KvPass gather_pass(const EvenSortPlan& plan, std::size_t i,
+                           const std::vector<KV>& data,
+                           std::vector<KV>& column) {
+  const std::size_t idx = i % plan.g;
+  detail::KvPass pass;
+  pass.cycles = (plan.g - 1) * plan.ni;
+  if (idx == plan.g - 1) {
+    column.reserve(plan.core.m);
+    column.resize(pass.cycles);
+    pass.r1 = pass.cycles;
+    pass.recv = column.data();
+    pass.rch = static_cast<ChannelId>(i / plan.g);
+  } else {
+    pass.w0 = idx * plan.ni;
+    pass.w1 = pass.w0 + plan.ni;
+    pass.send = data.data();
+    pass.wch = static_cast<ChannelId>(i / plan.g);
+  }
+  return pass;
+}
+
+}  // namespace
+
 Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
                                       std::vector<KV>& data) {
   MCB_REQUIRE(data.size() == plan.ni, "local list size " << data.size()
@@ -46,10 +74,12 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
   const std::size_t j = i / plan.g;        // group / column index
   const std::size_t idx = i % plan.g;      // index within the group
   const bool is_rep = idx == plan.g - 1;   // highest-numbered member
-  const auto jch = static_cast<ChannelId>(j);
   const std::size_t m = plan.core.m;
 
   std::vector<KV> column;
+  // Phase 0 and phase 10 are passes of (key, val) broadcasts, walked at one
+  // skip + burst site each (detail::KvPassWalker).
+  detail::KvPassWalker walk;
 
   // Span names carry the "even." prefix so they never collide with the
   // PhaseStats names of whatever program hosts this collective (the
@@ -57,24 +87,16 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
   // --- phase 0: gather the group's elements at the representative ---------
   if (plan.g > 1) {
     obs::Span sp(self, "even.gather");
-    const Cycle gather_cycles = static_cast<Cycle>((plan.g - 1) * plan.ni);
-    if (!is_rep) {
-      if (idx > 0) co_await self.skip(static_cast<Cycle>(idx * plan.ni));
-      for (const KV& e : data) {
-        co_await self.write(jch, Message::of(e.key, e.val));
+    walk = detail::KvPassWalker(gather_pass(plan, i, data, column));
+    while (!walk.done()) {
+      if (const std::size_t idle = walk.skip_idle()) {
+        co_await self.skip(idle);
+      } else {
+        walk.plan(self);
+        walk.take(co_await self.burst());
       }
-      const Cycle rest =
-          gather_cycles - static_cast<Cycle>((idx + 1) * plan.ni);
-      if (rest > 0) co_await self.skip(rest);
-    } else {
-      column.reserve(m);
-      for (Cycle t = 0; t < gather_cycles; ++t) {
-        auto got = co_await self.read(jch);
-        MCB_CHECK(got.has_value(), "gather slot empty at P" << i + 1);
-        column.push_back(KV{got->at(0), got->at(1)});
-      }
-      column.insert(column.end(), data.begin(), data.end());
     }
+    if (is_rep) column.insert(column.end(), data.begin(), data.end());
   } else {
     column = data;
   }
@@ -97,8 +119,18 @@ Task<void> columnsort_even_collective(Proc& self, const EvenSortPlan& plan,
   }
   obs::Span sp(self, "even.redistribute");
   const std::size_t lo = i * plan.ni;  // this processor's final ranks
-  co_await detail::redistribute(self, plan.core, is_rep, j, column, plan.n,
-                                lo, lo + plan.ni, data);
+  for (int pass = 0; pass < 2; ++pass) {
+    walk = detail::KvPassWalker(detail::redistribute_pass(
+        plan.core, is_rep, j, column, plan.n, lo, lo + plan.ni, data, pass));
+    while (!walk.done()) {
+      if (const std::size_t idle = walk.skip_idle()) {
+        co_await self.skip(idle);
+      } else {
+        walk.plan(self);
+        walk.take(co_await self.burst());
+      }
+    }
+  }
 }
 
 namespace {

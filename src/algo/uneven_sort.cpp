@@ -66,6 +66,32 @@ Formation plan_formation(const std::vector<std::size_t>& sizes,
   return f;
 }
 
+/// Phase 0b for one processor: a group member at within-group offset
+/// `offset` writes its keys in cycles [offset, offset + ni) of the m-cycle
+/// window, and the representative reads the other members' keys into
+/// `column`, which is sized here.
+detail::KvPass collect_pass(std::size_t m, ChannelId gch, bool is_rep,
+                            std::size_t offset, std::size_t group_total,
+                            const std::vector<Word>& input,
+                            std::vector<KV>& column) {
+  detail::KvPass pass;
+  pass.cycles = m;
+  pass.keys_only = true;
+  if (is_rep) {
+    column.reserve(m);
+    column.resize(group_total - input.size());
+    pass.r1 = column.size();
+    pass.recv = column.data();
+    pass.rch = gch;
+  } else {
+    pass.w0 = offset;
+    pass.w1 = offset + input.size();
+    pass.send_keys = input.data();
+    pass.wch = gch;
+  }
+  return pass;
+}
+
 struct UnevenCtx {
   std::size_t k = 0;
   detail::CorePlan plan;
@@ -125,31 +151,27 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
   MCB_CHECK(my_group != SIZE_MAX, "P" << i + 1 << " joined no group");
   MCB_CHECK(kk == ctx.plan.kk,
             "in-run group count " << kk << " != planned " << ctx.plan.kk);
-  const std::size_t m = ctx.plan.m;
   const auto gch = static_cast<ChannelId>(my_group);
 
   // --- phase 0b: collect each group's elements at its representative ------
   // Fixed window of m cycles for every group (m bounds every group total).
+  // Like phase 10 it is a pass of broadcasts, walked at one skip + burst
+  // site; the messages carry keys alone.
   if (i == 0) self.mark_phase("phase0b:collect");
   std::vector<KV> column;
-  if (!is_rep) {
-    if (my_offset > 0) co_await self.skip(my_offset);
-    for (Word w : input) {
-      co_await self.write(gch, Message::of(w));
+  detail::KvPassWalker walk(collect_pass(ctx.plan.m, gch, is_rep, my_offset,
+                                         my_group_total, input, column));
+  while (!walk.done()) {
+    if (const std::size_t idle = walk.skip_idle()) {
+      co_await self.skip(idle);
+    } else {
+      walk.plan(self);
+      walk.take(co_await self.burst());
     }
-    const std::size_t rest = m - my_offset - input.size();
-    if (rest > 0) co_await self.skip(rest);
-  } else {
-    const std::size_t incoming = my_group_total - input.size();
-    column.reserve(m);
-    for (std::size_t t = 0; t < incoming; ++t) {
-      auto got = co_await self.read(gch);
-      MCB_CHECK(got.has_value(), "collection slot " << t << " empty");
-      column.push_back(KV{got->at(0), 0});
-    }
+  }
+  if (is_rep) {
     for (Word w : input) column.push_back(KV{w, 0});
-    column.resize(m, KV{kDummy, 0});
-    if (incoming < m) co_await self.skip(m - incoming);
+    column.resize(ctx.plan.m, KV{kDummy, 0});
   }
 
   // --- phases 1-9 -----------------------------------------------------------
@@ -163,9 +185,20 @@ ProcMain uneven_program(Proc& self, const UnevenCtx& ctx,
   // --- phase 10: redistribute ------------------------------------------------
   if (i == 0) self.mark_phase("phase10:redistribute");
   std::vector<KV> segment;
-  co_await detail::redistribute(self, ctx.plan, is_rep, my_group, column, n,
-                                static_cast<std::size_t>(ps.before),
-                                static_cast<std::size_t>(ps.self), segment);
+  for (int pass = 0; pass < 2; ++pass) {
+    walk = detail::KvPassWalker(detail::redistribute_pass(
+        ctx.plan, is_rep, my_group, column, n,
+        static_cast<std::size_t>(ps.before),
+        static_cast<std::size_t>(ps.self), segment, pass));
+    while (!walk.done()) {
+      if (const std::size_t idle = walk.skip_idle()) {
+        co_await self.skip(idle);
+      } else {
+        walk.plan(self);
+        walk.take(co_await self.burst());
+      }
+    }
+  }
   output.clear();
   output.reserve(segment.size());
   for (const KV& e : segment) output.push_back(e.key);

@@ -1,6 +1,7 @@
 #include "mcb/message.hpp"
 
 #include <ostream>
+#include <sstream>
 
 #include "util/check.hpp"
 
@@ -13,16 +14,16 @@ Message::Message(std::initializer_list<Word> words) {
   for (Word w : words) words_[size_++] = w;
 }
 
-Word Message::at(std::size_t i) const {
-  MCB_REQUIRE(i < size_, "word index " << i << " out of range (size "
-                                       << size_ << ")");
-  return words_[i];
+void Message::throw_bad_index(std::size_t i) const {
+  std::ostringstream msg;
+  msg << "word index " << i << " out of range (size " << size_ << ")";
+  detail::throw_require("i < size_", __FILE__, __LINE__, msg.str());
 }
 
-void Message::push(Word w) {
-  MCB_REQUIRE(size_ < kMaxWords, "message already holds " << kMaxWords
-                                                          << " words");
-  words_[size_++] = w;
+void Message::throw_full() {
+  std::ostringstream msg;
+  msg << "message already holds " << kMaxWords << " words";
+  detail::throw_require("size_ < kMaxWords", __FILE__, __LINE__, msg.str());
 }
 
 std::ostream& operator<<(std::ostream& os, const Message& m) {

@@ -48,7 +48,10 @@ class Message {
 
   /// Bounds-checked word access; throws std::invalid_argument out of range.
   /// Protocol code validating a received message belongs here.
-  Word at(std::size_t i) const;
+  Word at(std::size_t i) const {
+    if (i >= size_) throw_bad_index(i);
+    return words_[i];
+  }
 
   /// Unchecked word access for hot-path code whose index is structurally
   /// valid (asserts in debug builds only). Use at() on untrusted indices.
@@ -58,11 +61,19 @@ class Message {
   }
 
   /// Appends one word; throws std::invalid_argument past kMaxWords.
-  void push(Word w);
+  void push(Word w) {
+    if (size_ >= kMaxWords) throw_full();
+    words_[size_++] = w;
+  }
 
   friend bool operator==(const Message&, const Message&) = default;
 
  private:
+  // The throwing halves of at() and push(), kept out of line so the inlined
+  // accessors stay a compare and a load or store.
+  [[noreturn, gnu::cold]] void throw_bad_index(std::size_t i) const;
+  [[noreturn, gnu::cold]] static void throw_full();
+
   std::array<Word, kMaxWords> words_{};
   std::size_t size_ = 0;
 };

@@ -64,7 +64,11 @@ void Network::resume_proc(ProcId id) {
 }
 
 void Network::on_cycle_op(Proc& pr) {
-  const ProcId id = pr.id_;
+  release_burst(pr.id_);
+  arm_next_cycle(pr.id_);
+}
+
+void Network::arm_next_cycle(ProcId id) {
   tab_.wake_cycle[id] = now_ + 1;
   if (mode_ == Engine::kEventDriven) {
     sched_.add_active(id);
@@ -74,10 +78,76 @@ void Network::on_cycle_op(Proc& pr) {
 
 void Network::on_sleep(Proc& pr, Cycle t) {
   const ProcId id = pr.id_;
+  release_burst(id);
   tab_.wake_cycle[id] = now_ + t;
   if (mode_ == Engine::kEventDriven) {
     sched_.schedule_wake(id, now_ + t);
   }
+}
+
+std::span<Act> Network::burst_acts(ProcId id, std::size_t n) {
+  if (n == 1) {
+    release_burst(id);
+    tab_.act[id] = Act{};
+    return {&tab_.act[id], 1};
+  }
+  std::uint32_t& slot = tab_.burst_slot[id];
+  if (slot == ProcTable::kNoBurst) {
+    if (free_bursts_.empty()) {
+      slot = static_cast<std::uint32_t>(bursts_.size());
+      bursts_.emplace_back();
+    } else {
+      slot = free_bursts_.back();
+      free_bursts_.pop_back();
+    }
+  }
+  BurstBuffer& b = bursts_[slot];
+  b.acts.assign(n, Act{});
+  return b.acts;
+}
+
+void Network::begin_burst(ProcId id) {
+  const std::uint32_t slot = tab_.burst_slot[id];
+  const std::span<const Act> acts =
+      slot == ProcTable::kNoBurst ? std::span<const Act>(&tab_.act[id], 1)
+                                  : std::span<const Act>(bursts_[slot].acts);
+  for (const Act& a : acts) {
+    MCB_REQUIRE(a.write == kNoChannel || a.write < cfg_.k,
+                "P" << id + 1 << " writing channel " << a.write << " of "
+                    << cfg_.k);
+    MCB_REQUIRE(a.read == kNoChannel || a.read < cfg_.k,
+                "P" << id + 1 << " reading channel " << a.read << " of "
+                    << cfg_.k);
+  }
+  if (slot == ProcTable::kNoBurst) return;
+  BurstBuffer& b = bursts_[slot];
+  b.results.resize(acts.size());
+  b.pos = 0;
+  tab_.act[id] = acts.front();
+  tab_.burst_left[id] = static_cast<std::uint32_t>(acts.size() - 1);
+}
+
+void Network::next_act(ProcId id) {
+  BurstBuffer& b = bursts_[tab_.burst_slot[id]];
+  b.results[b.pos] = std::move(tab_.read_result[id]);
+  tab_.act[id] = b.acts[++b.pos];
+  --tab_.burst_left[id];
+  arm_next_cycle(id);
+}
+
+std::span<const Proc::ReadResult> Network::burst_results(ProcId id) {
+  const std::uint32_t slot = tab_.burst_slot[id];
+  if (slot == ProcTable::kNoBurst) return {&tab_.read_result[id], 1};
+  BurstBuffer& b = bursts_[slot];
+  b.results.back() = std::move(tab_.read_result[id]);
+  return b.results;
+}
+
+void Network::release_burst(ProcId id) {
+  std::uint32_t& slot = tab_.burst_slot[id];
+  if (slot == ProcTable::kNoBurst) return;
+  free_bursts_.push_back(slot);
+  slot = ProcTable::kNoBurst;
 }
 
 void Network::span_begin(std::string_view name) {
@@ -124,17 +194,16 @@ void Network::throw_max_cycles() const {
 }
 
 void Network::clear_intents(ProcId i) {
-  tab_.pending_write[i].reset();
-  tab_.pending_read[i].reset();
+  tab_.act[i].write = kNoChannel;
+  tab_.act[i].read = kNoChannel;
   tab_.pending_read_all[i] = 0;
 }
 
 void Network::apply_read(ProcId i) {
   tab_.read_result[i].reset();
-  if (const auto& rc = tab_.pending_read[i]) {
-    if (slot_written_[*rc] != 0) {
-      tab_.read_result[i] = slot_msg_[*rc];
-    }
+  const ChannelId rc = tab_.act[i].read;
+  if (rc != kNoChannel && slot_written_[rc] != 0) {
+    tab_.read_result[i] = slot_msg_[rc];
   }
   if (tab_.pending_read_all[i] != 0) {
     auto& out = tab_.read_all_results[i];
@@ -148,18 +217,19 @@ void Network::apply_read(ProcId i) {
 }
 
 void Network::emit_event(ProcId i) {
-  const auto& w = tab_.pending_write[i];
-  if (!w && !tab_.pending_read[i] && tab_.pending_read_all[i] == 0) {
+  const Act& a = tab_.act[i];
+  if (a.write == kNoChannel && a.read == kNoChannel &&
+      tab_.pending_read_all[i] == 0) {
     return;
   }
   CycleEvent ev;
   ev.cycle = now_;
   ev.proc = i;
-  if (w) {
-    ev.wrote = w->channel;
-    ev.sent = w->msg;
+  if (a.write != kNoChannel) {
+    ev.wrote = a.write;
+    ev.sent = a.msg;
   }
-  ev.read = tab_.pending_read[i];
+  if (a.read != kNoChannel) ev.read = a.read;
   ev.received = tab_.read_result[i];
   if (tab_.pending_read_all[i] != 0) {
     ev.read_all = true;
@@ -259,6 +329,13 @@ void Network::reset() {
   // slot_msg_ entries are dead once the written flags are clear — every
   // read consults the flag first — so the payloads need no scrubbing.
 
+  // Every pooled burst buffer is idle again (the table cleared the
+  // processors' holds); the buffers keep their capacity.
+  free_bursts_.clear();
+  for (std::size_t b = bursts_.size(); b-- > 0;) {
+    free_bursts_.push_back(static_cast<std::uint32_t>(b));
+  }
+
   sched_.reset();
   now_ = 0;
   alive_ = 0;
@@ -299,15 +376,15 @@ void Network::run_event_loop() {
     // processors that suspended with a channel intent, in id order — the
     // same order the reference scan visits them.
     for (ProcId id : active) {
-      const auto& w = tab_.pending_write[id];
-      if (!w) continue;
-      const ChannelId c = w->channel;
+      const Act& a = tab_.act[id];
+      const ChannelId c = a.write;
+      if (c == kNoChannel) continue;
       if (slot_written_[c] != 0) {
         throw CollisionError(now_, c, slot_writer_[c], id);
       }
       slot_written_[c] = 1;
       slot_writer_[c] = id;
-      slot_msg_[c] = w->msg;
+      slot_msg_[c] = a.msg;
       sched_.mark_dirty(c);
       ++stats_.messages;
       ++stats_.messages_per_proc[id];
@@ -324,7 +401,9 @@ void Network::run_event_loop() {
     // Step 3: the cycle completes. Clear only the channels written this
     // cycle, then resume every processor due at the new time, in processor
     // order (the drain is id-sorted; processors re-registering while it is
-    // iterated wake strictly later and land in fresh buckets).
+    // iterated wake strictly later and land in fresh buckets). A processor
+    // with burst acts left takes its next act instead, at the same place in
+    // the order a resume would have re-registered it.
     for (ChannelId c : sched_.dirty()) {
       slot_written_[c] = 0;
     }
@@ -332,6 +411,10 @@ void Network::run_event_loop() {
     sched_.clear_active();
     ++now_;
     for (ProcId id : sched_.drain_due(now_)) {
+      if (tab_.burst_left[id] != 0) {
+        next_act(id);
+        continue;
+      }
       clear_intents(id);
       resume_proc(id);
     }
@@ -349,15 +432,15 @@ void Network::run_reference_loop() {
     std::fill(slot_written_.begin(), slot_written_.end(), std::uint8_t{0});
     for (ProcId id = 0; id < cfg_.p; ++id) {
       if (tab_.done[id] != 0) continue;
-      const auto& w = tab_.pending_write[id];
-      if (!w) continue;
-      const ChannelId c = w->channel;
+      const Act& a = tab_.act[id];
+      const ChannelId c = a.write;
+      if (c == kNoChannel) continue;
       if (slot_written_[c] != 0) {
         throw CollisionError(now_, c, slot_writer_[c], id);
       }
       slot_written_[c] = 1;
       slot_writer_[c] = id;
-      slot_msg_[c] = w->msg;
+      slot_msg_[c] = a.msg;
       ++stats_.messages;
       ++stats_.messages_per_proc[id];
       ++stats_.messages_per_channel[c];
@@ -375,10 +458,15 @@ void Network::run_reference_loop() {
     }
 
     // Step 3: the cycle completes; resume local computation of every
-    // processor due this cycle (in processor order, for determinism).
+    // processor due this cycle (in processor order, for determinism), or
+    // hand a bursting processor its next act.
     ++now_;
     for (ProcId id = 0; id < cfg_.p; ++id) {
       if (tab_.done[id] != 0 || tab_.wake_cycle[id] > now_) continue;
+      if (tab_.burst_left[id] != 0) {
+        next_act(id);
+        continue;
+      }
       clear_intents(id);
       resume_proc(id);
     }

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -104,12 +105,28 @@ class Network {
   friend struct Proc::CycleAwaiter;
   friend struct Proc::SkipAwaiter;
   friend struct Proc::MultiReadAwaiter;
+  friend struct Proc::BurstAwaiter;
 
   // Suspension hooks called by the Proc awaiters. on_cycle_op: `pr` holds a
   // channel intent for the cycle in flight and wakes next cycle. on_sleep:
-  // `pr` sleeps for t cycles with no channel activity.
+  // `pr` sleeps for t cycles with no channel activity. Both end any burst
+  // buffer the processor still holds.
   void on_cycle_op(Proc& pr);
   void on_sleep(Proc& pr, Cycle t);
+  // Registers `id`, whose act for the cycle in flight is set, to take part
+  // in it and wake at the next cycle.
+  void arm_next_cycle(ProcId id);
+
+  // Bursts (Proc::burst_acts, Proc::burst). A one-act burst runs in the
+  // processor's own act slot and read result; a longer one holds a pooled
+  // BurstBuffer from burst_acts() until the processor next suspends some
+  // other way or ends. A due processor with acts left is refilled by
+  // next_act() in the drain, in id order, instead of being resumed.
+  std::span<Act> burst_acts(ProcId id, std::size_t n);
+  void begin_burst(ProcId id);
+  std::span<const Proc::ReadResult> burst_results(ProcId id);
+  void release_burst(ProcId id);
+  void next_act(ProcId id);
 
   void resume_proc(ProcId id);
   void run_event_loop();
@@ -145,6 +162,12 @@ class Network {
   std::vector<std::uint8_t> slot_written_;
   std::vector<ProcId> slot_writer_;
   std::vector<Message> slot_msg_;
+
+  // Burst buffer pool: at most one buffer per bursting processor, never
+  // shrunk, so steady-state bursts allocate nothing (free_bursts_ holds the
+  // indices of the idle ones).
+  std::vector<BurstBuffer> bursts_;
+  std::vector<std::uint32_t> free_bursts_;
 
   Scheduler sched_;
   Engine mode_ = Engine::kEventDriven;

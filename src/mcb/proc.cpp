@@ -12,7 +12,10 @@ std::size_t Proc::p() const { return net_->config().p; }
 std::size_t Proc::k() const { return net_->config().k; }
 Cycle Proc::now() const { return net_->now(); }
 
-void Proc::mark_done() { net_->tab_.done[id_] = 1; }
+void Proc::mark_done() {
+  net_->tab_.done[id_] = 1;
+  net_->release_burst(id_);
+}
 
 Proc::CycleAwaiter Proc::cycle(std::optional<WriteOp> write,
                                std::optional<ChannelId> read) {
@@ -24,8 +27,13 @@ Proc::CycleAwaiter Proc::cycle(std::optional<WriteOp> write,
     MCB_REQUIRE(*read < k(), "P" << id_ + 1 << " reading channel " << *read
                                  << " of " << k());
   }
-  net_->tab_.pending_write[id_] = std::move(write);
-  net_->tab_.pending_read[id_] = read;
+  Act& act = net_->tab_.act[id_];
+  act.write = kNoChannel;
+  if (write) {
+    act.write = write->channel;
+    act.msg = write->msg;
+  }
+  act.read = read.value_or(kNoChannel);
   return CycleAwaiter{*this};
 }
 
@@ -51,10 +59,25 @@ Proc::MultiReadAwaiter Proc::cycle_all(std::optional<WriteOp> write) {
     MCB_REQUIRE(write->channel < k(), "P" << id_ + 1 << " writing channel "
                                           << write->channel << " of " << k());
   }
-  net_->tab_.pending_write[id_] = std::move(write);
-  net_->tab_.pending_read[id_].reset();
+  Act& act = net_->tab_.act[id_];
+  act.write = kNoChannel;
+  act.read = kNoChannel;
+  if (write) {
+    act.write = write->channel;
+    act.msg = write->msg;
+  }
   net_->tab_.pending_read_all[id_] = 1;
   return MultiReadAwaiter{*this};
+}
+
+std::span<Act> Proc::burst_acts(std::size_t n) {
+  MCB_REQUIRE(n >= 1, "a burst needs at least one act");
+  return net_->burst_acts(id_, n);
+}
+
+Proc::BurstAwaiter Proc::burst() {
+  net_->begin_burst(id_);
+  return BurstAwaiter{*this};
 }
 
 void Proc::note_aux(std::size_t words) {
@@ -79,8 +102,8 @@ Proc::ReadResult Proc::CycleAwaiter::await_resume() const noexcept {
 
 void Proc::SkipAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
   ProcTable& tab = proc.net_->tab_;
-  tab.pending_write[proc.id_].reset();
-  tab.pending_read[proc.id_].reset();
+  tab.act[proc.id_].write = kNoChannel;
+  tab.act[proc.id_].read = kNoChannel;
   tab.pending_read_all[proc.id_] = 0;
   tab.resume_point[proc.id_] = h;
   proc.net_->on_sleep(proc, t);
@@ -95,6 +118,16 @@ void Proc::MultiReadAwaiter::await_suspend(
 std::vector<Proc::ReadResult> Proc::MultiReadAwaiter::await_resume()
     const noexcept {
   return std::move(proc.net_->tab_.read_all_results[proc.id_]);
+}
+
+void Proc::BurstAwaiter::await_suspend(std::coroutine_handle<> h) noexcept {
+  proc.net_->tab_.resume_point[proc.id_] = h;
+  proc.net_->arm_next_cycle(proc.id_);
+}
+
+std::span<const Proc::ReadResult> Proc::BurstAwaiter::await_resume()
+    const noexcept {
+  return proc.net_->burst_results(proc.id_);
 }
 
 }  // namespace mcb

@@ -5,6 +5,7 @@
 #include <coroutine>
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +22,19 @@ class Network;
 struct WriteOp {
   ChannelId channel = 0;
   Message msg;
+};
+
+/// Marks the absent half of an Act: no write, or no read.
+inline constexpr ChannelId kNoChannel = ~ChannelId{0};
+
+/// One cycle's channel intent: write `msg` on channel `write` and read
+/// channel `read`, either half left out by kNoChannel. An act with neither
+/// is an idle cycle. The engine keeps each processor's intent for the cycle
+/// in flight in this form, and Proc::burst hands it a run of them.
+struct Act {
+  Message msg;
+  ChannelId write = kNoChannel;
+  ChannelId read = kNoChannel;
 };
 
 class Proc {
@@ -61,6 +75,22 @@ class Proc {
   struct MultiReadAwaiter;
   MultiReadAwaiter cycle_all(std::optional<WriteOp> write);
 
+  // --- bursts: n consecutive acts for one suspension ----------------------
+
+  /// The buffer for a burst of n >= 1 acts, every act idle; act i runs in
+  /// the i-th cycle after the burst starts. The engine owns the buffer and
+  /// reuses it, so a burst allocates nothing once warm, and a one-act burst
+  /// never does. Valid until the burst is awaited.
+  std::span<Act> burst_acts(std::size_t n);
+
+  /// Runs the acts of the last burst_acts(n) in n consecutive cycles with
+  /// one suspension: observationally the same as n cycle() awaits (same
+  /// writes, reads, collisions and trace events, cycle by cycle). Yields one
+  /// read result per act (nullopt on silence or when the act did not read),
+  /// valid until this processor's next suspension.
+  struct BurstAwaiter;
+  BurstAwaiter burst();
+
   // --- accounting helpers ------------------------------------------------
 
   /// Reports this processor's current auxiliary storage in words; the run
@@ -100,6 +130,13 @@ class Proc {
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) noexcept;
     std::vector<ReadResult> await_resume() const noexcept;
+  };
+
+  struct BurstAwaiter {
+    Proc& proc;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) noexcept;
+    std::span<const ReadResult> await_resume() const noexcept;
   };
 
  private:

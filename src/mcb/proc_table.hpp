@@ -25,6 +25,15 @@
 
 namespace mcb {
 
+/// A pooled burst buffer (Proc::burst): the acts one processor handed over
+/// and a read result per act. Network keeps a pool of them, so a buffer
+/// never lives in a coroutine frame and is reused across bursts and runs.
+struct BurstBuffer {
+  std::vector<Act> acts;
+  std::vector<Proc::ReadResult> results;
+  std::size_t pos = 0;  ///< the act in flight
+};
+
 /// Per-processor state, one array element per processor, indexed by ProcId.
 /// Owned by Network (declared after the frame arenas, so coroutine frames
 /// outlive their handles here). Both engines read and write the columns
@@ -40,25 +49,33 @@ struct ProcTable {
   std::vector<std::uint8_t> done;
 
   // Per-cycle channel intents and results.
-  std::vector<std::optional<WriteOp>> pending_write;
-  std::vector<std::optional<ChannelId>> pending_read;
+  std::vector<Act> act;  ///< the intent for the cycle in flight
   std::vector<std::uint8_t> pending_read_all;
   std::vector<Proc::ReadResult> read_result;
   std::vector<std::vector<Proc::ReadResult>> read_all_results;
 
+  /// Acts of a burst still to run after the one in flight (0 outside a
+  /// burst): a due processor with acts left is refilled, not resumed.
+  std::vector<std::uint32_t> burst_left;
+  /// The processor's pooled BurstBuffer (Network::bursts_), or kNoBurst.
+  std::vector<std::uint32_t> burst_slot;
+
   /// Max storage noted via Proc::note_aux, per processor.
   std::vector<std::size_t> peak_aux_words;
+
+  static constexpr std::uint32_t kNoBurst = ~std::uint32_t{0};
 
   void resize(std::size_t p) {
     resume_point.resize(p);
     program.resize(p);
     wake_cycle.assign(p, 0);
     done.assign(p, 0);
-    pending_write.resize(p);
-    pending_read.resize(p);
+    act.resize(p);
     pending_read_all.assign(p, 0);
     read_result.resize(p);
     read_all_results.resize(p);
+    burst_left.assign(p, 0);
+    burst_slot.assign(p, kNoBurst);
     peak_aux_words.assign(p, 0);
   }
 
@@ -71,12 +88,13 @@ struct ProcTable {
     std::fill(program.begin(), program.end(), ProcMain::handle_type{});
     std::fill(wake_cycle.begin(), wake_cycle.end(), Cycle{0});
     std::fill(done.begin(), done.end(), std::uint8_t{0});
-    for (auto& w : pending_write) w.reset();
-    for (auto& r : pending_read) r.reset();
+    std::fill(act.begin(), act.end(), Act{});
     std::fill(pending_read_all.begin(), pending_read_all.end(),
               std::uint8_t{0});
     for (auto& r : read_result) r.reset();
     for (auto& v : read_all_results) v.clear();
+    std::fill(burst_left.begin(), burst_left.end(), std::uint32_t{0});
+    std::fill(burst_slot.begin(), burst_slot.end(), kNoBurst);
     std::fill(peak_aux_words.begin(), peak_aux_words.end(), std::size_t{0});
   }
 };

@@ -1,5 +1,7 @@
 #include "mcb/scheduler.hpp"
 
+#include <iterator>
+
 #include "util/check.hpp"
 
 namespace mcb {
@@ -8,6 +10,7 @@ Scheduler::Scheduler(std::size_t p, std::size_t k)
     : link_(p, kNil), wake_(p, 0) {
   next_bucket_.reserve(p);
   drain_entries_.reserve(p);
+  merge_scratch_.reserve(p);
   active_.reserve(p);
   dirty_.reserve(k);
 }
@@ -66,19 +69,45 @@ const std::vector<ProcId>& Scheduler::drain_due(Cycle now) {
   }
 
   // Every entry of the level-0 slot for `now` wakes at `now` exactly.
-  // Entries arrive across several registration cycles, so the merged drain
-  // is re-sorted by id, but only when it is out of order: a slot filled by
-  // one id-ordered drain usually is not.
+  // Entries arrive across several registration cycles, each registering
+  // drain appending an id-sorted run, so the drain is the bucket's run
+  // followed by the slot's runs. It is put back in id order only when it
+  // has more than one run.
   const std::size_t bucket = drain_entries_.size();
   for (ProcId id = take(0, digit(now, 0)); id != kNil; id = link_[id]) {
     drain_entries_.push_back(id);
   }
-  if (drain_entries_.size() > bucket &&
-      !std::is_sorted(drain_entries_.begin(), drain_entries_.end())) {
-    std::sort(drain_entries_.begin(), drain_entries_.end());
-  }
+  if (drain_entries_.size() > bucket) sort_runs();
   pending_ -= drain_entries_.size();
   return drain_entries_;
+}
+
+void Scheduler::sort_runs() {
+  // Run starts, after the first run. Past kMaxMergeRuns runs a merge pass
+  // per run would cost more than one sort (p-sized drains can hold
+  // thousands of runs), so those drains are sorted outright.
+  std::array<std::size_t, kMaxMergeRuns> starts{};
+  std::size_t runs = 1;
+  for (std::size_t i = 1; i < drain_entries_.size(); ++i) {
+    if (drain_entries_[i] > drain_entries_[i - 1]) continue;
+    if (runs == kMaxMergeRuns) {
+      std::sort(drain_entries_.begin(), drain_entries_.end());
+      return;
+    }
+    starts[runs++ - 1] = i;
+  }
+  // Fold the runs in left to right: [0, starts[r]) is sorted before round r
+  // merges the next run into it through the scratch buffer.
+  for (std::size_t r = 0; r + 1 < runs; ++r) {
+    const auto first = drain_entries_.begin();
+    const auto mid = first + static_cast<std::ptrdiff_t>(starts[r]);
+    const auto last = r + 2 < runs
+                          ? first + static_cast<std::ptrdiff_t>(starts[r + 1])
+                          : drain_entries_.end();
+    merge_scratch_.clear();
+    std::merge(first, mid, mid, last, std::back_inserter(merge_scratch_));
+    std::copy(merge_scratch_.begin(), merge_scratch_.end(), first);
+  }
 }
 
 }  // namespace mcb

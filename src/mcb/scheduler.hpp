@@ -25,8 +25,9 @@
 // its entries are re-placed strictly lower, so each cascades at most once
 // per level. next_wake() is one countr_zero on the lowest non-empty level's
 // occupancy mask: idle-cycle fast-forward is O(levels). A drain is the next
-// bucket, then the due level-0 slot, re-sorted by id only when out of order
-// (the reference engine's resume order; see docs/ENGINE.md, "Costs").
+// bucket, then the due level-0 slot; its id-sorted runs are merged back into
+// id order, or sorted when there are many (the reference engine's resume
+// order; see docs/ENGINE.md, "Costs").
 //
 // Two more lists let the run loop touch only what changed:
 //
@@ -145,6 +146,11 @@ class Scheduler {
   /// Empties a slot and returns its old head (kNil if it was empty).
   ProcId take(unsigned level, unsigned s);
 
+  /// Puts drain_entries_ (a concatenation of id-sorted runs) in id order:
+  /// a merge of the runs when there are at most kMaxMergeRuns, else a sort.
+  void sort_runs();
+  static constexpr std::size_t kMaxMergeRuns = 8;
+
   std::vector<ProcId> next_bucket_;  ///< wakes at (drain cycle)+1
   std::array<std::array<Slot, kSlots>, kLevels> slots_{};
   std::array<std::uint64_t, kLevels> mask_{};  ///< occupied slots per level
@@ -153,6 +159,7 @@ class Scheduler {
   Cycle cur_ = 0;             ///< the wheel's current cycle (last drain)
   std::size_t pending_ = 0;   ///< entries across both tiers
   std::vector<ProcId> drain_entries_;  ///< scratch, swapped with next bucket
+  std::vector<ProcId> merge_scratch_;  ///< sort_runs' merge buffer
   std::vector<ProcId> active_;
   std::vector<ChannelId> dirty_;
 };

@@ -10,7 +10,10 @@
 // equal to a cold network's.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -251,6 +254,76 @@ TEST(ResetEquivalence, ResetRecoversFromAbortedRun) {
   const RunStats want = fresh.run();
   const RunStats got = net.run();
   expect_equivalent_runs(want, got, "post-abort reset");
+}
+
+/// After one plain read, processor i writes channel 0 in the cycles t with
+/// t % p == i (plus every processor in cycle `clash`, if set) and reads
+/// channel 0 in every cycle, all in bursts of 40 acts.
+ProcMain burst_chatter(Proc& self, std::size_t cycles,
+                       std::optional<std::size_t> clash) {
+  co_await self.read(1);
+  for (std::size_t t = 1; t < cycles; t += 40) {
+    const std::span<Act> acts = self.burst_acts(std::min<std::size_t>(
+        40, cycles - t));
+    for (std::size_t a = 0; a < acts.size(); ++a) {
+      if ((t + a) % self.p() == self.id() || clash == t + a) {
+        acts[a].write = 0;
+        acts[a].msg = Message::of(static_cast<Word>(t + a));
+      }
+      acts[a].read = 0;
+    }
+    co_await self.burst();
+  }
+}
+
+TEST(ResetEquivalence, ResetRecoversFromRunAbortedMidBurst) {
+  // The collision in cycle 50 lands in the middle of every processor's
+  // second burst, so the abort leaves burst state behind; after reset() a
+  // run that starts with a plain cycle and then bursts must match a fresh
+  // network's, trace included.
+  for (const auto& ec : kEngineGrid) {
+    const auto cfg = make_cfg(4, 2, ec);
+    ChannelTrace trace(1u << 16);
+    Network net(cfg, &trace);
+    for (ProcId i = 0; i < cfg.p; ++i) {
+      net.install(i, burst_chatter(net.proc(i), 120, 50));
+    }
+    try {
+      net.run();
+      ADD_FAILURE() << ec.label << ": no collision";
+    } catch (const CollisionError& e) {
+      EXPECT_EQ(e.cycle(), 50u) << ec.label;
+    }
+    const std::size_t cut = trace.events().size();
+
+    net.reset();
+    for (ProcId i = 0; i < cfg.p; ++i) {
+      net.install(i, burst_chatter(net.proc(i), 120, std::nullopt));
+    }
+    const RunStats got = net.run();
+
+    ChannelTrace fresh_trace(1u << 16);
+    Network fresh(cfg, &fresh_trace);
+    for (ProcId i = 0; i < cfg.p; ++i) {
+      fresh.install(i, burst_chatter(fresh.proc(i), 120, std::nullopt));
+    }
+    const RunStats want = fresh.run();
+    expect_equivalent_runs(want, got, std::string(ec.label) + "/mid-burst");
+
+    const auto& a = fresh_trace.events();
+    const auto& b = trace.events();
+    ASSERT_EQ(b.size() - cut, a.size()) << ec.label;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const CycleEvent& x = a[i];
+      const CycleEvent& y = b[cut + i];
+      EXPECT_EQ(x.cycle, y.cycle) << ec.label << " event " << i;
+      EXPECT_EQ(x.proc, y.proc) << ec.label << " event " << i;
+      EXPECT_EQ(x.wrote, y.wrote) << ec.label << " event " << i;
+      EXPECT_EQ(x.sent, y.sent) << ec.label << " event " << i;
+      EXPECT_EQ(x.read, y.read) << ec.label << " event " << i;
+      EXPECT_EQ(x.received, y.received) << ec.label << " event " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -156,6 +156,58 @@ TEST(WakeQueueTest, TopLevelWakes) {
   EXPECT_TRUE(sched.queue_empty());
 }
 
+/// Registers `runs` interleaved id groups for one far wake cycle, one group
+/// per registration cycle (group g is g, g + runs, g + 2*runs, ...), so the
+/// due slot holds `runs` id-sorted runs; a ticker processor, the highest
+/// id, drains every cycle in between and joins the final drain through the
+/// next bucket. Every drain is checked against a multimap oracle.
+void check_drain_of_runs(std::size_t runs, std::size_t per_run) {
+  SCOPED_TRACE(::testing::Message() << runs << " runs of " << per_run);
+  const auto ticker = static_cast<ProcId>(runs * per_run);
+  const Cycle wake = 5000;  // placed at wheel level 2, cascaded on the jump
+  Scheduler sched(runs * per_run + 1, 1);
+  std::multimap<Cycle, ProcId> oracle;
+  Cycle now = 0;
+  const auto schedule = [&](ProcId id, Cycle at) {
+    sched.schedule_wake(id, at);
+    oracle.emplace(at, id);
+  };
+  const auto drain = [&](Cycle at) {
+    ASSERT_EQ(sched.next_wake(), oracle.begin()->first);
+    std::vector<ProcId> want;
+    auto [lo, hi] = oracle.equal_range(at);
+    for (auto it = lo; it != hi; ++it) want.push_back(it->second);
+    oracle.erase(lo, hi);
+    std::sort(want.begin(), want.end());
+    now = at;
+    EXPECT_EQ(sched.drain_due(at), want) << "drain at " << at;
+  };
+  for (std::size_t g = 0; g < runs; ++g) {
+    for (std::size_t i = 0; i < per_run; ++i) {
+      schedule(static_cast<ProcId>(i * runs + g), wake);
+    }
+    schedule(ticker, now + 1);
+    drain(now + 1);
+  }
+  schedule(ticker, wake - 1);
+  drain(wake - 1);
+  schedule(ticker, wake);
+  drain(wake);
+  EXPECT_TRUE(sched.queue_empty());
+  EXPECT_TRUE(oracle.empty());
+}
+
+TEST(WakeQueueTest, DrainsOfSeveralRunsMatchOracle) {
+  // Bucket plus 2 and 3 runs merge; the merge limit and one run past it;
+  // many runs fall back to a sort.
+  for (std::size_t runs : {1u, 2u, 3u, 7u, 8u, 40u}) {
+    check_drain_of_runs(runs, 5);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Runs of one entry each: every neighbouring pair is a descent.
+  check_drain_of_runs(64, 1);
+}
+
 TEST(WakeQueueTest, ResetMidStreamThenReuse) {
   // Processor 48 is held back so the next bucket is occupied at the reset.
   OracleStream s(49, 21);

@@ -246,6 +246,36 @@ cmp build-release/serve_obs_event.stripped.json \
   build-release/serve_obs_reference.stripped.json
 ./build-release/tools/mcbsim select --help | grep '^usage: mcbsim' > /dev/null
 
+# Sort smoke: the Columnsort gather, transform rounds and redistribution run
+# as bursts (Proc::burst, several acts per resume), which both engines must
+# step through cycle by cycle exactly as if each act were its own cycle().
+# Columnsort-even at p=64, k=8 bursts all three loops; auto on a zipf input
+# at p=48, k=6 goes to uneven_sort, whose collection and redistribution
+# burst too. Stripped JSON (engine name aside) and the span trace files
+# must cmp equal across engines.
+echo "=== [release] sort cross-engine smoke (bursts) ==="
+for engine in event reference; do
+  ./build-release/tools/mcbsim sort --p 64 --k 8 --n 4096 \
+    --algorithm columnsort --json --obs --check --engine "$engine" \
+    --trace-out "build-release/sort_even_trace_$engine.json" \
+    > "build-release/sort_even_$engine.json"
+  ./build-release/tools/mcbsim sort --p 48 --k 6 --n 3000 --shape zipf \
+    --algorithm auto --json --obs --check --engine "$engine" \
+    --trace-out "build-release/sort_zipf_trace_$engine.json" \
+    > "build-release/sort_zipf_$engine.json"
+  for run in sort_even sort_zipf; do
+    ./build-release/tools/mcbsim strip-host "build-release/${run}_$engine.json" \
+      | sed 's/"engine":"reference"/"engine":"event"/' \
+      > "build-release/${run}_$engine.stripped.json"
+  done
+done
+for run in sort_even sort_zipf; do
+  cmp "build-release/${run}_event.stripped.json" \
+    "build-release/${run}_reference.stripped.json"
+  cmp "build-release/${run}_trace_event.json" \
+    "build-release/${run}_trace_reference.json"
+done
+
 # Static-analysis wall, as soon as a build tree exists. lint.sh exits 0
 # clean / 1 findings / 3 tool-missing-warn: findings fail CI, 3 means every
 # check that ran is clean but a tool was unavailable here — the same
